@@ -61,7 +61,7 @@ func main() {
 		epsilon    = flag.Float64("eps", 0, "yield error requirement (0 = default 5e-3)")
 		alpha      = flag.Float64("alpha", 0, "NB clustering parameter (0 = default 2)")
 		workers    = flag.Int("workers", 0, "cases evaluated concurrently (0 = all cores)")
-		buildWork  = flag.Int("build-workers", 0, "workers for each decision-diagram build (0 = all cores, 1 = serial engine)")
+		buildWork  = flag.Int("build-workers", 1, "workers for each decision-diagram build (1 = serial engine, ≥ 2 = concurrent engine)")
 		buildJSON  = flag.String("build-json", "", "write the build-engine worker scaling benchmark to this file (BENCH_6 format)")
 		benchJSON  = flag.String("bench-json", "", "write the sweep scaling benchmark trajectory to this file")
 		benchCase  = flag.String("bench-case", "ESEN8x2:1", `benchmark rows for -bench-json, e.g. "ESEN8x2:1,MS19:1"`)

@@ -24,6 +24,17 @@
 // (used by equivalence tests and ablation benchmarks); its handles
 // keep the complement bit only on the True terminal.
 //
+// # Operation cache
+//
+// The ITE cache starts at 4,096 entries and doubles with the unique
+// table up to maxCacheEntries (2^20 entries, 20 MiB); past that, the
+// unique table keeps growing and the cache stays put. Nothing throws
+// the cache away: a growth rehashes every entry into the larger cache,
+// and a GC drops only the entries that name a node it freed, since
+// their slots will be reused. Release drops the cache together with
+// the unique table and the reference counts once a build's root is
+// final; only the node arena stays, for the read-only accessors.
+//
 // Variables are identified by their level in the fixed total order,
 // 0 .. NumVars-1; mapping from named problem variables to levels is the
 // caller's concern (package order computes such orders). All
@@ -94,6 +105,7 @@ type Manager struct {
 	memoFrac   []float64 // per-arena-index result memo (SatFraction)
 	naryBuf    []Node    // operand scratch for the n-ary apply
 	limitHit   bool
+	released   bool
 	// Instrumentation totals, maintained as plain fields because
 	// construction is single-threaded by contract; Stats snapshots them.
 	cacheHits    int64
@@ -114,6 +126,11 @@ const (
 	opNone int32 = 0
 	opITE  int32 = 1
 )
+
+// maxCacheEntries caps the ITE cache (2^20 entries, 20 MiB). The cache
+// follows the unique table's size up to this cap; past it, a larger
+// cache costs more memory than its extra hits save.
+const maxCacheEntries = 1 << 20
 
 // Option configures a Manager.
 type Option func(*Manager)
@@ -162,7 +179,7 @@ func New(numVars int, opts ...Option) *Manager {
 	m.refs = append(m.refs, 1) // permanently referenced
 	m.live = 1
 	m.peakLive = 1
-	m.resizeBuckets(1 << 10)
+	m.rehash(1 << 10)
 	m.resizeCache(1 << 12)
 	m.autoGCAt = 1 << 16
 	for _, o := range opts {
@@ -257,8 +274,12 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-func (m *Manager) resizeBuckets(n int) {
-	m.buckets = make([]int32, n)
+// rehash rebuilds the unique table with n buckets, reusing the bucket
+// array when its size does not change (as after a GC).
+func (m *Manager) rehash(n int) {
+	if len(m.buckets) != n {
+		m.buckets = make([]int32, n)
+	}
 	for i := range m.buckets {
 		m.buckets[i] = nilIdx
 	}
@@ -273,10 +294,35 @@ func (m *Manager) resizeBuckets(n int) {
 	}
 }
 
-// resizeCache sizes the ITE cache to n entries (n/2 two-way sets).
+// growTable doubles the unique table, and the ITE cache with it up to
+// maxCacheEntries.
+func (m *Manager) growTable() {
+	m.tableGrowths++
+	m.rehash(len(m.buckets) * 2)
+	if n := min(len(m.buckets), maxCacheEntries); len(m.cache) < n {
+		m.resizeCache(n)
+	}
+}
+
+// resizeCache grows the ITE cache to n entries (n/2 two-way sets) and
+// rehashes the old entries into it. A new set's index, masked down to
+// the old size, names the one old set all of its entries come from, so
+// no entry is lost; a primary entry stays primary.
 func (m *Manager) resizeCache(n int) {
+	old := m.cache
 	m.cache = make([]cacheEntry, n)
 	m.cacheMask = uint32(n/2 - 1)
+	for i := range old {
+		e := &old[i]
+		if e.op == opNone {
+			continue
+		}
+		set := (mix(uint32(e.f), uint32(e.g), uint32(e.h)) & m.cacheMask) * 2
+		if m.cache[set].op != opNone {
+			set++
+		}
+		m.cache[set] = *e
+	}
 }
 
 func mix(a, b, c uint32) uint32 {
@@ -326,14 +372,12 @@ func (m *Manager) mk(level int32, lo, hi Node) Node {
 		m.freeCount--
 	} else {
 		idx = int32(len(m.nodes))
-		m.nodes = append(m.nodes, node{})
+		// The placeholder is marked free so that a rehash below leaves
+		// it out of every chain until it is filled in.
+		m.nodes = append(m.nodes, node{level: freeLevel})
 		m.refs = append(m.refs, 0)
 		if len(m.nodes) > len(m.buckets) {
-			m.tableGrowths++
-			m.resizeBuckets(len(m.buckets) * 2)
-			if len(m.cache) < len(m.buckets) {
-				m.resizeCache(len(m.buckets))
-			}
+			m.growTable()
 			b = m.bucketOf(level, lo, hi)
 		}
 	}
@@ -363,6 +407,7 @@ func (m *Manager) guard(err *error) {
 
 // Var returns the function of the single variable at the given level.
 func (m *Manager) Var(level int) (Node, error) {
+	m.checkBuilding()
 	if level < 0 || int32(level) >= m.numVars {
 		return False, fmt.Errorf("bdd: variable level %d out of range [0,%d)", level, m.numVars)
 	}
@@ -377,6 +422,7 @@ func (m *Manager) Var(level int) (Node, error) {
 
 // NVar returns the negation of the variable at the given level.
 func (m *Manager) NVar(level int) (Node, error) {
+	m.checkBuilding()
 	if level < 0 || int32(level) >= m.numVars {
 		return False, fmt.Errorf("bdd: variable level %d out of range [0,%d)", level, m.numVars)
 	}
@@ -408,6 +454,7 @@ func (m *Manager) IsTerminal(n Node) bool { return n <= True }
 // on the stored node, so a function and its complement share them. It
 // returns n for chaining.
 func (m *Manager) Ref(n Node) Node {
+	m.checkBuilding()
 	if n > True {
 		m.refs[n>>1]++
 	}
@@ -416,6 +463,7 @@ func (m *Manager) Ref(n Node) Node {
 
 // Deref removes an external reference added by Ref.
 func (m *Manager) Deref(n Node) {
+	m.checkBuilding()
 	if n > True {
 		if m.refs[n>>1] == 0 {
 			panic(fmt.Sprintf("bdd: Deref of unreferenced node %d", n))
@@ -548,14 +596,19 @@ func (m *Manager) ite(f, g, h Node) Node {
 	lo := m.ite(f0, g0, h0)
 	hi := m.ite(f1, g1, h1)
 	r := m.mk(top, lo, hi)
-	// Insert into the primary way, demoting its previous occupant.
-	*s1 = *s0
+	// Insert into the primary way, demoting its previous occupant. If
+	// the recursion grew the cache, s0 and s1 point into the old array
+	// and this one entry is lost, which costs at most a recomputation.
+	if s0.op != opNone {
+		*s1 = *s0
+	}
 	*s0 = cacheEntry{f: f, g: g, h: h, result: r, op: opITE}
 	return r ^ out
 }
 
 // ITE returns if-then-else(f, g, h) = (f∧g) ∨ (¬f∧h).
 func (m *Manager) ITE(f, g, h Node) (Node, error) {
+	m.checkBuilding()
 	var out Node
 	var err error
 	func() {
@@ -668,6 +721,7 @@ func (m *Manager) applyNary(fs []Node, op int) Node {
 // And returns the conjunction of the arguments (True when empty) via
 // the n-ary apply.
 func (m *Manager) And(fs ...Node) (Node, error) {
+	m.checkBuilding()
 	var out Node
 	var err error
 	func() {
@@ -683,6 +737,7 @@ func (m *Manager) And(fs ...Node) (Node, error) {
 // Or returns the disjunction of the arguments (False when empty) via
 // the n-ary apply.
 func (m *Manager) Or(fs ...Node) (Node, error) {
+	m.checkBuilding()
 	var out Node
 	var err error
 	func() {
@@ -718,6 +773,7 @@ func (m *Manager) Equiv(f, g Node) (Node, error) {
 
 // Restrict returns f with the variable at the given level fixed to val.
 func (m *Manager) Restrict(f Node, level int, val bool) (Node, error) {
+	m.checkBuilding()
 	if level < 0 || int32(level) >= m.numVars {
 		return False, fmt.Errorf("bdd: variable level %d out of range [0,%d)", level, m.numVars)
 	}
@@ -901,11 +957,13 @@ func (m *Manager) SatCount(f Node) float64 {
 }
 
 // GC reclaims every node not reachable from an externally referenced
-// node. It returns the number of nodes freed. Operation caches are
-// cleared. GC is also run automatically when the arena grows large;
-// nodes held only by in-flight operations are never collected because
-// operations do not trigger GC internally.
+// node. It returns the number of nodes freed. Operation-cache entries
+// that name a freed node are dropped; the rest are kept. GC is also
+// run automatically when the arena grows large; nodes held only by
+// in-flight operations are never collected because operations do not
+// trigger GC internally.
 func (m *Manager) GC() int {
+	m.checkBuilding()
 	gen := m.nextStamp()
 	// Mark phase: roots are nodes with a positive external refcount.
 	for i := 1; i < len(m.nodes); i++ {
@@ -928,10 +986,16 @@ func (m *Manager) GC() int {
 	if freed > 0 {
 		m.live -= freed
 		m.gcFreed += int64(freed)
-		m.resizeBuckets(len(m.buckets))
-	}
-	for i := range m.cache {
-		m.cache[i] = cacheEntry{}
+		m.rehash(len(m.buckets))
+		// A freed slot is reused for other nodes, so an entry naming
+		// one could answer wrongly; entries over survivors stay valid.
+		for i := range m.cache {
+			e := &m.cache[i]
+			if e.op != opNone && (m.stamp[e.f>>1] != gen || m.stamp[e.g>>1] != gen ||
+				m.stamp[e.h>>1] != gen || m.stamp[e.result>>1] != gen) {
+				*e = cacheEntry{}
+			}
+		}
 	}
 	m.gcCount++
 	return freed
@@ -954,6 +1018,7 @@ func (m *Manager) markRec(idx int32, gen int32) {
 // collection. It is intended to be called at safe points (between
 // top-level operations, e.g. after compiling each gate).
 func (m *Manager) MaybeGC() int {
+	m.checkBuilding()
 	if m.live < m.autoGCAt {
 		return 0
 	}
@@ -964,6 +1029,27 @@ func (m *Manager) MaybeGC() int {
 		m.autoGCAt = m.live * 2
 	}
 	return freed
+}
+
+// Release drops every table the manager needs only to build diagrams:
+// the operation cache, the unique table, the reference counts and the
+// traversal scratch. What stays is the node arena, so the read-only
+// accessors (Level, Lo, Hi, IsTerminal, Eval, NodeBound, Size, ...)
+// keep working on the finished diagrams; Stats reports the released
+// tables as empty. Any call that could create or collect nodes panics
+// afterwards. A build calls Release once its root is final, before
+// converting, so the conversion does not carry the build's tables.
+func (m *Manager) Release() {
+	m.cache, m.buckets, m.refs = nil, nil, nil
+	m.stamp, m.memoNode, m.memoFrac, m.naryBuf = nil, nil, nil, nil
+	m.released = true
+}
+
+// checkBuilding panics when the manager has been released.
+func (m *Manager) checkBuilding() {
+	if m.released {
+		panic("bdd: manager used to build or collect nodes after Release")
+	}
 }
 
 // LimitExceeded reports whether any operation has failed with

@@ -150,8 +150,16 @@ func ToMDDWithStats(bm *bdd.Manager, root bdd.Node, mm *mdd.Manager, spec Spec, 
 	// a flat slice indexed by handle replaces the hash map. The key is
 	// the full handle (complement bit included): a node and its
 	// complement denote different functions and convert independently.
+	// memo holds the ROMDD node plus one, so zero means not yet seen.
 	memo := make([]mdd.Node, bm.NodeBound())
-	seen := make([]bool, bm.NodeBound())
+	// One child buffer per MV level serves every entry node of that
+	// level: a conversion only recurses into deeper levels, so a
+	// level's buffer is free again by the time the next of its entry
+	// nodes starts, and MkNode copies the children it keeps.
+	bufs := make([][]mdd.Node, len(spec.Domains))
+	for g, d := range spec.Domains {
+		bufs[g] = make([]mdd.Node, d)
+	}
 	var err error
 	var conv func(n bdd.Node) mdd.Node
 	conv = func(n bdd.Node) mdd.Node {
@@ -164,8 +172,8 @@ func ToMDDWithStats(bm *bdd.Manager, root bdd.Node, mm *mdd.Manager, spec Spec, 
 		if n == bdd.True {
 			return mdd.True
 		}
-		if seen[n] {
-			return memo[n]
+		if r := memo[n]; r != 0 {
+			return r - 1
 		}
 		g := spec.LevelGroup[bm.Level(n)]
 		if st != nil {
@@ -174,7 +182,7 @@ func ToMDDWithStats(bm *bdd.Manager, root bdd.Node, mm *mdd.Manager, spec Spec, 
 		// The serial converter discovers entry nodes as it converts, so
 		// the total is unknown; progress still counts nodes done.
 		cfg.state.Add(1)
-		kids := make([]mdd.Node, spec.Domains[g])
+		kids := bufs[g]
 		for val := range kids {
 			kids[val] = conv(simulate(bm, &spec, n, g, val, steps))
 			if err != nil {
@@ -186,8 +194,7 @@ func ToMDDWithStats(bm *bdd.Manager, root bdd.Node, mm *mdd.Manager, spec Spec, 
 			err = mkErr
 			return mdd.False
 		}
-		memo[n] = r
-		seen[n] = true
+		memo[n] = r + 1
 		return r
 	}
 	out := conv(root)

@@ -1,0 +1,168 @@
+package convert_test
+
+import (
+	"slices"
+	"testing"
+	"unsafe"
+
+	"socyield/internal/bdd"
+	"socyield/internal/benchmarks"
+	"socyield/internal/compile"
+	"socyield/internal/convert"
+	"socyield/internal/encode"
+	"socyield/internal/mdd"
+	"socyield/internal/order"
+)
+
+// codedROBDD compiles a benchmark system's coded ROBDD at truncation
+// point m under the default orderings.
+func codedROBDD(t *testing.T, name string, m int) (*bdd.Manager, bdd.Node, convert.Spec) {
+	t.Helper()
+	sys, err := benchmarks.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := encode.BuildG(sys.FaultTree, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := order.Assemble(g.Netlist, g.Groups, order.MVWeight, order.BitML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm := bdd.New(g.Netlist.NumInputs())
+	root, err := compile.Netlist(bm, g.Netlist, plan.BinaryLevels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groupOf := make([]int, g.Netlist.NumInputs())
+	bitOf := make([]uint, g.Netlist.NumInputs())
+	for gi, grp := range g.Groups {
+		for j, ord := range grp.Bits {
+			groupOf[ord] = gi
+			bitOf[ord] = uint(len(grp.Bits) - 1 - j)
+		}
+	}
+	spec, err := convert.SpecFromPlanLevels(plan.BinaryLevels, groupOf, bitOf, plan.GroupSeq, g.Domains())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bm, root, spec
+}
+
+// sharesKids reports whether the snapshot's child array is the
+// manager's own (Freeze adopted it) rather than a copy.
+func sharesKids(f *mdd.Frozen, mm *mdd.Manager) bool {
+	return unsafe.Pointer(unsafe.SliceData(f.Data().Kids)) == unsafe.Pointer(unsafe.SliceData(mm.Kids(2)))
+}
+
+func sameData(a, b mdd.FrozenData) bool {
+	return slices.Equal(a.Domains, b.Domains) && slices.Equal(a.Levels, b.Levels) &&
+		slices.Equal(a.Kids, b.Kids) && a.Root == b.Root
+}
+
+// TestToMDDAllocsIndependentOfSize checks that the serial conversion
+// allocates nothing per entry node: converting into a manager that
+// already holds the result allocates the same number of times for a
+// small and a much larger model.
+func TestToMDDAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(name string) (float64, int64) {
+		bm, root, spec := codedROBDD(t, name, 4)
+		mm := mdd.MustNew(spec.Domains)
+		var st convert.Stats
+		if _, err := convert.ToMDDWithStats(bm, root, mm, spec, &st); err != nil {
+			t.Fatal(err)
+		}
+		var entries int64
+		for _, n := range st.EntryNodes {
+			entries += n
+		}
+		// The count is the whole process's, and a GC cycle the larger
+		// memo starts now and then adds a stray runtime allocation;
+		// averaging over 20 runs rounds those away, while a per-node
+		// allocation would add thousands.
+		return testing.AllocsPerRun(20, func() {
+			if _, err := convert.ToMDDWithStats(bm, root, mm, spec, &st); err != nil {
+				t.Fatal(err)
+			}
+		}), entries
+	}
+	smallAllocs, small := allocs("MS2")
+	largeAllocs, large := allocs("ESEN8x1")
+	if large < 4*small {
+		t.Fatalf("models too close in size: %d and %d entry nodes", small, large)
+	}
+	if smallAllocs != largeAllocs {
+		t.Fatalf("conversion allocates %v times for %d entry nodes but %v for %d", smallAllocs, small, largeAllocs, large)
+	}
+}
+
+// TestFreezeAdoptsSerialConversion checks that Freeze adopts the
+// arrays of a serial conversion, and that the snapshot equals the one
+// the copying path gives once the manager holds a node the root does
+// not reach.
+func TestFreezeAdoptsSerialConversion(t *testing.T) {
+	cases := []string{"ESEN4x2", "MS6"}
+	if testing.Short() {
+		cases = cases[:1]
+	}
+	for _, name := range cases {
+		bm, root, spec := codedROBDD(t, name, 6)
+		mm := mdd.MustNew(spec.Domains)
+		mroot, err := convert.ToMDD(bm, root, mm, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adopted := mm.Freeze(mroot)
+		if !sharesKids(adopted, mm) {
+			t.Fatalf("%s: Freeze copied a serial conversion", name)
+		}
+		if adopted.Size() != mm.Size(mroot) {
+			t.Fatalf("%s: adopted snapshot has %d nodes, the manager's diagram %d", name, adopted.Size(), mm.Size(mroot))
+		}
+		// An unreachable node breaks the layout and forces the copy.
+		nodes := mm.NumNodes()
+		for lv := 0; lv < mm.NumVars() && mm.NumNodes() == nodes; lv++ {
+			for v := 0; v < mm.Domain(lv) && mm.NumNodes() == nodes; v++ {
+				if _, err := mm.LiteralEq(lv, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if mm.NumNodes() == nodes {
+			t.Fatalf("%s: no unreachable node could be added", name)
+		}
+		copied := mm.Freeze(mroot)
+		if sharesKids(copied, mm) {
+			t.Fatalf("%s: Freeze adopted a manager holding an unreachable node", name)
+		}
+		if !sameData(adopted.Data(), copied.Data()) {
+			t.Fatalf("%s: adopted and copied snapshots differ", name)
+		}
+	}
+}
+
+// TestFreezeCopiesConcurrentConversion checks that the layer-parallel
+// converter's node order sends Freeze down the copying path, to the
+// same snapshot the serial conversion gives.
+func TestFreezeCopiesConcurrentConversion(t *testing.T) {
+	bm, root, spec := codedROBDD(t, "ESEN4x2", 6)
+	serial := mdd.MustNew(spec.Domains)
+	sroot, err := convert.ToMDD(bm, root, serial, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serial.Freeze(sroot).Data()
+	mm := mdd.MustNew(spec.Domains)
+	mroot, err := convert.ToMDDParallel(bm, root, mm, spec, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := mm.Freeze(mroot)
+	if sharesKids(f, mm) {
+		t.Fatal("Freeze adopted the concurrent converter's node order")
+	}
+	if !sameData(f.Data(), want) {
+		t.Fatal("snapshot of the concurrent conversion differs from the serial one")
+	}
+}

@@ -90,8 +90,8 @@ type Config struct {
 	// W × NodeLimit nodes at peak.
 	Workers int
 	// BuildWorkers is the worker count for each case's decision-diagram
-	// build (yield.Options.BuildWorkers): 0 defaults to GOMAXPROCS, 1
-	// forces the serial reference engine. Every row is bit-identical
+	// build (yield.Options.BuildWorkers): 0 defaults to 1, the serial
+	// engine; ≥ 2 selects the concurrent engine. Every row is bit-identical
 	// for every value; it composes with Workers (W cases × B build
 	// workers can keep W×B goroutines busy).
 	BuildWorkers int

@@ -1,12 +1,15 @@
 package mdd
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Frozen is an immutable compact snapshot of one rooted diagram,
-// produced by Manager.Freeze. It owns its own node arrays — only the
-// nodes reachable from the root, renumbered in topological (children
-// before parents) order — and shares nothing with the manager, so it
-// is safe to evaluate from any number of goroutines with no external
+// produced by Manager.Freeze. It holds only the nodes reachable from
+// the root, numbered in topological (children before parents) order.
+// Nothing in it is ever written after Freeze returns, so it is safe to
+// evaluate from any number of goroutines with no external
 // synchronization, even while the original manager keeps growing.
 //
 // Beyond safety, the compaction pays for itself: Prob becomes a single
@@ -29,6 +32,15 @@ type Frozen struct {
 // Freeze extracts the diagram rooted at n into an immutable snapshot.
 // The manager is only read; it may be discarded or mutated afterwards
 // without affecting the snapshot.
+//
+// When the manager already holds exactly the nodes reachable from n,
+// numbered in the post-order the snapshot uses — the layout the serial
+// coded-ROBDD converter produces — Freeze adopts the manager's child
+// array instead of copying it. This is safe because the manager never
+// rewrites a child entry, only appends new ones past the snapshot's
+// end. Otherwise (a concurrent converter's node order, a manager with
+// nodes the root does not reach) Freeze copies the reachable nodes by
+// a post-order DFS. Both paths give the same FrozenData.
 func (m *Manager) Freeze(n Node) *Frozen {
 	f := &Frozen{
 		domains: append([]int32(nil), m.domains...),
@@ -37,6 +49,17 @@ func (m *Manager) Freeze(n Node) *Frozen {
 		root:    int32(n),
 	}
 	if m.IsTerminal(n) {
+		return f
+	}
+	if m.inFreezeOrder(n) {
+		f.levels = make([]int32, len(m.nodes))
+		f.kidsOff = make([]int32, len(m.nodes))
+		for i, nd := range m.nodes {
+			f.levels[i], f.kidsOff[i] = nd.level, nd.kidsOff
+		}
+		// Node's underlying type is int32, so this reinterprets the
+		// manager's child array without copying it.
+		f.kids = unsafe.Slice((*int32)(unsafe.SliceData(m.kids)), len(m.kids))
 		return f
 	}
 	// Post-order DFS assigns compact indices so that children precede
@@ -66,6 +89,34 @@ func (m *Manager) Freeze(n Node) *Frozen {
 	}
 	f.root = walk(n)
 	return f
+}
+
+// inFreezeOrder reports whether the manager's internal nodes are
+// exactly those reachable from root, numbered in the post-order
+// Freeze's DFS assigns, so that the DFS would map every node to
+// itself. It replays that DFS, taking a node as visited iff its index
+// is below the next index to assign — true for as long as the two
+// numberings have agreed — and stops at the first node that would be
+// renumbered.
+func (m *Manager) inFreezeOrder(root Node) bool {
+	next := Node(2)
+	var walk func(Node) bool
+	walk = func(x Node) bool {
+		if x < next {
+			return true
+		}
+		for _, k := range m.Kids(x) {
+			if !walk(k) {
+				return false
+			}
+		}
+		if x != next {
+			return false
+		}
+		next++
+		return true
+	}
+	return walk(root) && int(next) == len(m.nodes)
 }
 
 // FrozenData is the raw arena content of a Frozen snapshot, exposed

@@ -3,8 +3,10 @@ package mdd
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // randomDiagram builds a pseudo-random diagram over mixed domains for
@@ -181,6 +183,63 @@ func TestFrozenDetachedFromManager(t *testing.T) {
 	if before != after {
 		t.Errorf("snapshot changed after manager growth: %v vs %v", before, after)
 	}
+}
+
+// TestFreezeAdoptsOnlyItsOwnLayout builds one function twice: once
+// with the nodes created in the post-order Freeze numbers them in, so
+// the snapshot adopts the manager's child array, and once in another
+// order, so Freeze copies. Both snapshots must be equal, and the
+// adopted one must not change as its manager keeps growing.
+func TestFreezeAdoptsOnlyItsOwnLayout(t *testing.T) {
+	build := func(aFirst bool) (*Manager, Node) {
+		m := MustNew([]int{2, 3})
+		var a, b Node
+		if aFirst {
+			a, _ = m.MkNode(1, []Node{False, True, True})
+			b, _ = m.MkNode(1, []Node{True, False, False})
+		} else {
+			b, _ = m.MkNode(1, []Node{True, False, False})
+			a, _ = m.MkNode(1, []Node{False, True, True})
+		}
+		root, err := m.MkNode(0, []Node{a, b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, root
+	}
+	shares := func(f *Frozen, m *Manager) bool {
+		return unsafe.Pointer(unsafe.SliceData(f.kids)) == unsafe.Pointer(unsafe.SliceData(m.kids))
+	}
+	pm, proot := build(true)
+	adopted := pm.Freeze(proot)
+	if !shares(adopted, pm) {
+		t.Fatal("Freeze copied a manager already in post-order")
+	}
+	om, oroot := build(false)
+	copied := om.Freeze(oroot)
+	if shares(copied, om) {
+		t.Fatal("Freeze adopted a manager out of post-order")
+	}
+	want := copied.Data()
+	check := func() {
+		t.Helper()
+		got := adopted.Data()
+		if !slices.Equal(got.Levels, want.Levels) || !slices.Equal(got.Kids, want.Kids) ||
+			!slices.Equal(got.Domains, want.Domains) || got.Root != want.Root {
+			t.Fatalf("adopted snapshot %+v, copied %+v", got, want)
+		}
+	}
+	check()
+	for v := 0; v < 3; v++ {
+		lit, err := pm.LiteralEq(1, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pm.Xor(proot, lit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check()
 }
 
 // TestFrozenConcurrentReads hammers one snapshot (and the read-only

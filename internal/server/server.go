@@ -71,10 +71,10 @@ type Config struct {
 	// for (default GOMAXPROCS).
 	SweepWorkers int
 	// BuildWorkers is the worker count for compiling a model's decision
-	// diagrams (yield.Options.BuildWorkers). 0 defaults to GOMAXPROCS;
-	// 1 forces the serial reference engine. Results are bit-identical
-	// for every value, so this is purely a latency knob for cache
-	// misses.
+	// diagrams (yield.Options.BuildWorkers). 0 defaults to 1, the
+	// serial engine; ≥ 2 selects the concurrent engine. Results are
+	// bit-identical for every value, so this is purely a latency knob
+	// for cache misses.
 	BuildWorkers int
 	// MaxSweepPoints bounds the grid size of one sweep request
 	// (default 4096).
@@ -127,7 +127,7 @@ func (c Config) withDefaults() Config {
 		c.SweepWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.BuildWorkers <= 0 {
-		c.BuildWorkers = runtime.GOMAXPROCS(0)
+		c.BuildWorkers = 1
 	}
 	if c.MaxSweepPoints <= 0 {
 		c.MaxSweepPoints = 4096

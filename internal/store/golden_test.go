@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"flag"
 	"math"
 	"os"
+	"runtime"
+	"slices"
 	"testing"
 
 	"socyield/internal/benchmarks"
@@ -96,6 +99,42 @@ func TestGoldenFixtureCompat(t *testing.T) {
 	if math.Abs(y-snap.Build.Yield) > 1e-12 || math.Abs(b-snap.Build.ErrorBound) > 1e-12 {
 		t.Fatalf("restored fixture evaluates %.17g/%.17g, build recorded %.17g/%.17g",
 			y, b, snap.Build.Yield, snap.Build.ErrorBound)
+	}
+}
+
+// TestGoldenFixtureRebuilds builds the fixture's model afresh and
+// requires the same compiled ROMDD, and on amd64 (where the fixture
+// was encoded) the same bytes: a change to how the build lays out or
+// hands over its arrays must not change what it persists.
+func TestGoldenFixtureRebuilds(t *testing.T) {
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("reading fixture: %v", err)
+	}
+	want, err := Decode(data)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	sys, opts := goldenModel(t)
+	snap, _ := buildSnapshot(t, sys, opts)
+	got, wantData := snap.Frozen.Data(), want.Frozen.Data()
+	if !slices.Equal(got.Levels, wantData.Levels) || !slices.Equal(got.Kids, wantData.Kids) ||
+		!slices.Equal(got.Domains, wantData.Domains) || got.Root != wantData.Root {
+		t.Fatal("rebuilt ROMDD differs from the fixture's")
+	}
+	if snap.Build.CodedROBDDSize != want.Build.CodedROBDDSize || snap.Build.ROMDDSize != want.Build.ROMDDSize {
+		t.Fatalf("rebuilt sizes %d/%d, fixture %d/%d", snap.Build.CodedROBDDSize, snap.Build.ROMDDSize,
+			want.Build.CodedROBDDSize, want.Build.ROMDDSize)
+	}
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	enc, err := Encode(snap)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	if !bytes.Equal(enc, data) {
+		t.Fatalf("rebuilt model encodes to %d bytes differing from the %d-byte fixture", len(enc), len(data))
 	}
 }
 

@@ -62,6 +62,9 @@ func (p *prepared) buildModel(parent *obs.Span, g *encode.GFunc, plan *order.Pla
 	if specErr != nil {
 		return nil, mdd.False, specErr
 	}
+	// The root is final: conversion reads only the node arena, so the
+	// build's cache, unique table and reference counts go now.
+	bm.Release()
 
 	p.opts.BuildState.StartPhase(obs.BuildConvert, 0)
 	sp = parent.Child("convert")

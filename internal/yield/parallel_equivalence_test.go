@@ -129,7 +129,7 @@ func TestParallelBuildReevaluator(t *testing.T) {
 }
 
 // TestBuildWorkersValidation pins the option semantics: negative is
-// rejected, zero resolves to GOMAXPROCS (≥ 1).
+// rejected, zero resolves to 1, the serial engine.
 func TestBuildWorkersValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	sys := randomOracleSystem(rng, 3)
@@ -141,7 +141,7 @@ func TestBuildWorkersValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.BuildWorkers < 1 {
-		t.Fatalf("default BuildWorkers resolved to %d", res.Stats.BuildWorkers)
+	if res.Stats.BuildWorkers != 1 {
+		t.Fatalf("default BuildWorkers resolved to %d, want 1", res.Stats.BuildWorkers)
 	}
 }
