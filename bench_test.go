@@ -213,91 +213,6 @@ func writeBenchMetrics(b *testing.B, rec *socyield.Metrics) {
 	b.Logf("metrics written to %s", path)
 }
 
-// buildESEN8x2 runs the full model build (prepare through eval) of
-// ESEN8x2 at the given worker count and returns the build Result —
-// the shared core of the two build-engine microbenchmarks.
-func buildESEN8x2(b *testing.B, workers int) *socyield.Result {
-	b.Helper()
-	sys, err := socyield.ESEN(8, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dist, err := socyield.NewNegativeBinomial(2, 3.4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	re, err := socyield.NewReevaluator(sys, socyield.Options{
-		Defects: dist, Epsilon: 2e-3, BuildWorkers: workers,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return re.Result
-}
-
-// BenchmarkCompileParallel times the coded-ROBDD compile phase of the
-// ESEN8x2 build with the serial engine and with the concurrent engine
-// at all cores, reporting compile seconds and the parallel speedup as
-// benchmark metrics. The whole pipeline runs each iteration (the
-// compile cannot be isolated from its inputs), but only the compile
-// phase is reported, so the two sub-benchmarks compare exactly the
-// phase the work-stealing pool parallelizes.
-func BenchmarkCompileParallel(b *testing.B) {
-	var serialSec float64
-	b.Run("serial", func(b *testing.B) {
-		var total float64
-		for b.Loop() {
-			res := buildESEN8x2(b, 1)
-			total += res.Phases.Compile.Seconds()
-		}
-		serialSec = total / float64(b.N)
-		b.ReportMetric(serialSec, "compile-s/op")
-	})
-	b.Run("parallel", func(b *testing.B) {
-		workers := runtime.GOMAXPROCS(0)
-		var total float64
-		for b.Loop() {
-			res := buildESEN8x2(b, workers)
-			total += res.Phases.Compile.Seconds()
-		}
-		sec := total / float64(b.N)
-		b.ReportMetric(sec, "compile-s/op")
-		b.ReportMetric(float64(workers), "workers")
-		if serialSec > 0 && sec > 0 {
-			b.ReportMetric(serialSec/sec, "speedup-vs-serial")
-		}
-	})
-}
-
-// BenchmarkToMDDParallel is the same comparison for the layer-parallel
-// ROBDD→ROMDD conversion phase.
-func BenchmarkToMDDParallel(b *testing.B) {
-	var serialSec float64
-	b.Run("serial", func(b *testing.B) {
-		var total float64
-		for b.Loop() {
-			res := buildESEN8x2(b, 1)
-			total += res.Phases.Convert.Seconds()
-		}
-		serialSec = total / float64(b.N)
-		b.ReportMetric(serialSec, "convert-s/op")
-	})
-	b.Run("parallel", func(b *testing.B) {
-		workers := runtime.GOMAXPROCS(0)
-		var total float64
-		for b.Loop() {
-			res := buildESEN8x2(b, workers)
-			total += res.Phases.Convert.Seconds()
-		}
-		sec := total / float64(b.N)
-		b.ReportMetric(sec, "convert-s/op")
-		b.ReportMetric(float64(workers), "workers")
-		if serialSec > 0 && sec > 0 {
-			b.ReportMetric(serialSec/sec, "speedup-vs-serial")
-		}
-	})
-}
-
 // BenchmarkBaselineMonteCarlo runs the simulation baseline the paper's
 // introduction argues against.
 func BenchmarkBaselineMonteCarlo(b *testing.B) {

@@ -151,7 +151,6 @@ func run() error {
 		fRate      = flag.Float64("frate", 1e-3, "field failure rate per component (with -reliability)")
 		sweep      = flag.String("sweep", "", "comma-separated λ values for a batch sweep on the shared ROMDD")
 		workers    = flag.Int("workers", 0, "parallel workers for -sweep and -mc (0 = all cores)")
-		buildWork  = flag.Int("build-workers", 1, "workers for the decision-diagram build (1 = serial engine, ≥ 2 = concurrent engine)")
 		verbose    = flag.Bool("v", false, "print per-phase statistics")
 		metricsJS  = flag.String("metrics-json", "", "write collected metrics as JSON to this file (\"-\" = stdout)")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file of the run to this file (Perfetto-loadable)")
@@ -209,9 +208,8 @@ func run() error {
 	opts := yield.Options{
 		Defects: dist, Epsilon: *eps,
 		MVOrder: mv, BitOrder: bits, NodeLimit: *nodeLimit,
-		BuildWorkers: *buildWork,
-		Recorder:     rec,
-		Tracer:       flight.Tracer(),
+		Recorder: rec,
+		Tracer:   flight.Tracer(),
 	}
 	ps := make([]float64, len(sys.Components))
 	for i, c := range sys.Components {

@@ -20,9 +20,6 @@
 // for a fixed order equivalent functions are represented by the same
 // handle. The accessors (Lo, Hi, Level, Eval, ...) resolve polarity
 // transparently; callers never need to inspect the complement bit.
-// WithoutComplementEdges selects a classic two-terminal-style engine
-// (used by equivalence tests and ablation benchmarks); its handles
-// keep the complement bit only on the True terminal.
 //
 // # Operation cache
 //
@@ -85,27 +82,26 @@ const (
 
 // Manager owns an ROBDD arena for a fixed number of variables.
 type Manager struct {
-	nodes      []node
-	refs       []int32
-	buckets    []int32
-	numVars    int32
-	complement bool // CUDD-style complement edges (default on)
-	free       int32
-	freeCount  int
-	live       int
-	peakLive   int
-	limit      int
-	cache      []cacheEntry // 2-way set-associative: entries 2i, 2i+1 form one set
-	cacheMask  uint32       // number of sets - 1
-	gcCount    int
-	autoGCAt   int
-	stamp      []int32 // per-arena-index visitation stamps for traversals
-	stampGen   int32
-	memoNode   []Node    // per-arena-index result memo (Restrict)
-	memoFrac   []float64 // per-arena-index result memo (SatFraction)
-	naryBuf    []Node    // operand scratch for the n-ary apply
-	limitHit   bool
-	released   bool
+	nodes     []node
+	refs      []int32
+	buckets   []int32
+	numVars   int32
+	free      int32
+	freeCount int
+	live      int
+	peakLive  int
+	limit     int
+	cache     []cacheEntry // 2-way set-associative: entries 2i, 2i+1 form one set
+	cacheMask uint32       // number of sets - 1
+	gcCount   int
+	autoGCAt  int
+	stamp     []int32 // per-arena-index visitation stamps for traversals
+	stampGen  int32
+	memoNode  []Node    // per-arena-index result memo (Restrict)
+	memoFrac  []float64 // per-arena-index result memo (SatFraction)
+	naryBuf   []Node    // operand scratch for the n-ary apply
+	limitHit  bool
+	released  bool
 	// Instrumentation totals, maintained as plain fields because
 	// construction is single-threaded by contract; Stats snapshots them.
 	cacheHits    int64
@@ -152,16 +148,6 @@ func WithInitialCapacity(n int) Option {
 	}
 }
 
-// WithoutComplementEdges disables complement-edge canonicalization:
-// every internal node handle is regular and Not rebuilds the diagram
-// recursively, as in a classic two-terminal engine. Results are
-// function-identical to the default engine (both are canonical); node
-// counts and construction cost differ. Intended for equivalence tests
-// and ablation benchmarks.
-func WithoutComplementEdges() Option {
-	return func(m *Manager) { m.complement = false }
-}
-
 // New creates a manager for numVars boolean variables at levels
 // 0 .. numVars-1.
 func New(numVars int, opts ...Option) *Manager {
@@ -169,9 +155,8 @@ func New(numVars int, opts ...Option) *Manager {
 		panic(fmt.Sprintf("bdd: negative variable count %d", numVars))
 	}
 	m := &Manager{
-		numVars:    int32(numVars),
-		complement: true,
-		free:       nilIdx,
+		numVars: int32(numVars),
+		free:    nilIdx,
 	}
 	// The single terminal occupies arena slot 0. Terminal level is
 	// numVars so that every internal level compares below it.
@@ -248,12 +233,6 @@ type Stats struct {
 	// GCs counts garbage collections, GCFreed the total nodes freed.
 	GCs     int
 	GCFreed int64
-	// ShardContention and CacheContention count lock acquisitions that
-	// found a unique-table shard (resp. an operation-cache stripe)
-	// already held by another worker of the concurrent engine. Always
-	// zero for the serial engine.
-	ShardContention int64
-	CacheContention int64
 }
 
 // Stats returns the current instrumentation snapshot.
@@ -338,9 +317,9 @@ func (m *Manager) bucketOf(level int32, lo, hi Node) uint32 {
 }
 
 // mk returns the canonical node (level, lo, hi) over child handles,
-// creating it if needed. With complement edges it enforces the
-// regular-then-edge form: a complemented hi is pushed onto both
-// children and the returned handle. It panics with errLimitPanic when
+// creating it if needed. It enforces the regular-then-edge form: a
+// complemented hi is pushed onto both children and the returned
+// handle. It panics with errLimitPanic when
 // the node limit is exceeded; the exported entry points recover that
 // into ErrNodeLimit.
 func (m *Manager) mk(level int32, lo, hi Node) Node {
@@ -348,7 +327,7 @@ func (m *Manager) mk(level int32, lo, hi Node) Node {
 		return lo
 	}
 	var out Node
-	if m.complement && hi&1 != 0 {
+	if hi&1 != 0 {
 		lo ^= 1
 		hi ^= 1
 		out = 1
@@ -496,8 +475,8 @@ func min3(a, b, c int32) int32 {
 func regIdx(n Node) Node { return n >> 1 }
 
 // ite computes if-then-else(f, g, h) with the standard
-// Brace–Rudell–Bryant normalizations. With complement edges the cache
-// key is fully canonical: equivalent argument orders collapse, the
+// Brace–Rudell–Bryant normalizations. The cache key is fully
+// canonical: equivalent argument orders collapse, the
 // first argument and the then-argument are regular, and the output
 // complement is carried outside the cache.
 func (m *Manager) ite(f, g, h Node) Node {
@@ -517,13 +496,11 @@ func (m *Manager) ite(f, g, h Node) Node {
 	if h == f {
 		h = False
 	}
-	if m.complement {
-		if g == f^1 {
-			g = False
-		}
-		if h == f^1 {
-			h = True
-		}
+	if g == f^1 {
+		g = False
+	}
+	if h == f^1 {
+		h = True
 	}
 	switch {
 	case g == h:
@@ -531,7 +508,7 @@ func (m *Manager) ite(f, g, h Node) Node {
 	case g == True && h == False:
 		return f
 	}
-	if m.complement && g == False && h == True {
+	if g == False && h == True {
 		return f ^ 1 // O(1) negation
 	}
 	// Commutative normalizations: pick one representative among the
@@ -545,36 +522,31 @@ func (m *Manager) ite(f, g, h Node) Node {
 		if regIdx(f) > regIdx(g) {
 			f, g = g, f
 		}
-	} else if m.complement {
-		switch {
-		case h == True: // f → g = ITE(¬g, ¬f, 1)
-			if regIdx(f) > regIdx(g) {
-				f, g = g^1, f^1
-			}
-		case g == False: // ¬f ∧ h = ITE(¬h, 0, ¬f)
-			if regIdx(f) > regIdx(h) {
-				f, h = h^1, f^1
-			}
-		case g == h^1: // f ≡ g = ITE(g, f, ¬f)
-			if regIdx(f) > regIdx(g) {
-				f, g = g, f
-				h = g ^ 1
-			}
+	} else if h == True { // f → g = ITE(¬g, ¬f, 1)
+		if regIdx(f) > regIdx(g) {
+			f, g = g^1, f^1
+		}
+	} else if g == False { // ¬f ∧ h = ITE(¬h, 0, ¬f)
+		if regIdx(f) > regIdx(h) {
+			f, h = h^1, f^1
+		}
+	} else if g == h^1 { // f ≡ g = ITE(g, f, ¬f)
+		if regIdx(f) > regIdx(g) {
+			f, g = g, f
+			h = g ^ 1
 		}
 	}
+	// Canonical polarity: regular first argument, regular then-argument;
+	// the output complement rides on the result.
 	var out Node
-	if m.complement {
-		// Canonical polarity: regular first argument, regular
-		// then-argument; the output complement rides on the result.
-		if f&1 != 0 {
-			f ^= 1
-			g, h = h, g
-		}
-		if g&1 != 0 {
-			g ^= 1
-			h ^= 1
-			out = 1
-		}
+	if f&1 != 0 {
+		f ^= 1
+		g, h = h, g
+	}
+	if g&1 != 0 {
+		g ^= 1
+		h ^= 1
+		out = 1
 	}
 	set := (mix(uint32(f), uint32(g), uint32(h)) & m.cacheMask) * 2
 	s0, s1 := &m.cache[set], &m.cache[set+1]
@@ -618,13 +590,9 @@ func (m *Manager) ITE(f, g, h Node) (Node, error) {
 	return out, err
 }
 
-// Not returns the complement of f. With complement edges this is a
-// single bit flip; without them the diagram is rebuilt via ITE.
+// Not returns the complement of f: a single bit flip on the handle.
 func (m *Manager) Not(f Node) (Node, error) {
-	if m.complement {
-		return f ^ 1, nil
-	}
-	return m.ITE(f, False, True)
+	return f ^ 1, nil
 }
 
 const (
@@ -634,8 +602,7 @@ const (
 
 // prepNary normalizes an operand list for the n-ary apply in place:
 // dominant and neutral terminals are resolved, duplicates collapse,
-// and (with complement edges) a complementary pair short-circuits the
-// whole operation. It returns the compacted list and ok=false when the
+// and a complementary pair short-circuits the whole operation. It returns the compacted list and ok=false when the
 // result is already the dominant terminal.
 func (m *Manager) prepNary(buf []Node, op int) ([]Node, bool) {
 	neutral, dominant := Node(True), Node(False)
@@ -656,12 +623,10 @@ func (m *Manager) prepNary(buf []Node, op int) ([]Node, bool) {
 	buf = buf[:k]
 	slices.Sort(buf)
 	buf = slices.Compact(buf)
-	if m.complement {
-		for i := 0; i+1 < len(buf); i++ {
-			// Sorted handles place a function next to its complement.
-			if buf[i]^buf[i+1] == 1 {
-				return buf[:0], false // x ∧ ¬x = 0,  x ∨ ¬x = 1
-			}
+	for i := 0; i+1 < len(buf); i++ {
+		// Sorted handles place a function next to its complement.
+		if buf[i]^buf[i+1] == 1 {
+			return buf[:0], false // x ∧ ¬x = 0,  x ∨ ¬x = 1
 		}
 	}
 	return buf, true

@@ -134,6 +134,31 @@ func TestITEIdentities(t *testing.T) {
 	if r != r2 {
 		t.Error("ITE(a,a,b) != a∨b")
 	}
+	// The n-ary apply's normalizations: empty operand lists, a
+	// complementary pair, duplicate and neutral operands.
+	nb, _ := m.Not(b)
+	ab, _ := m.And(a, b)
+	for _, c := range []struct {
+		name string
+		op   func() (Node, error)
+		want Node
+	}{
+		{"And()", func() (Node, error) { return m.And() }, True},
+		{"Or()", func() (Node, error) { return m.Or() }, False},
+		{"And(a,b,¬a)", func() (Node, error) { return m.And(a, b, na) }, False},
+		{"Or(b,a,¬b)", func() (Node, error) { return m.Or(b, a, nb) }, True},
+		{"And(a,a,b,1)", func() (Node, error) { return m.And(a, a, b, True) }, ab},
+		{"Or(a,0,b,a)", func() (Node, error) { return m.Or(a, False, b, a) }, r2},
+		{"Xor(a,a)", func() (Node, error) { return m.Xor(a, a) }, False},
+	} {
+		got, err := c.op()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
 }
 
 func TestImpliesEquiv(t *testing.T) {

@@ -179,8 +179,8 @@ func ToMDDWithStats(bm *bdd.Manager, root bdd.Node, mm *mdd.Manager, spec Spec, 
 		if st != nil {
 			st.EntryNodes[g]++
 		}
-		// The serial converter discovers entry nodes as it converts, so
-		// the total is unknown; progress still counts nodes done.
+		// Entry nodes are discovered as they convert, so the total is
+		// unknown; progress still counts nodes done.
 		cfg.state.Add(1)
 		kids := bufs[g]
 		for val := range kids {

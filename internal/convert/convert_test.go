@@ -296,6 +296,23 @@ func TestToMDDManagerMismatch(t *testing.T) {
 	}
 }
 
+// TestToMDDTerminalRoots checks that constant coded ROBDDs convert to
+// the matching ROMDD terminals.
+func TestToMDDTerminalRoots(t *testing.T) {
+	spec := Spec{LevelGroup: []int{0, 0}, LevelBit: []uint{1, 0}, Domains: []int{3}}
+	bm := bdd.New(2)
+	mm := mdd.MustNew(spec.Domains)
+	for root, want := range map[bdd.Node]mdd.Node{bdd.False: mdd.False, bdd.True: mdd.True} {
+		got, err := ToMDD(bm, root, mm, spec)
+		if err != nil {
+			t.Fatalf("terminal root %d: %v", root, err)
+		}
+		if got != want {
+			t.Errorf("terminal root %d converted to %d, want %d", root, got, want)
+		}
+	}
+}
+
 func TestProbValidation(t *testing.T) {
 	f := fig2FaultTree()
 	p := buildPipeline(t, f, 1, order.MVWV, order.BitML)

@@ -141,28 +141,3 @@ func TestFreezeAdoptsSerialConversion(t *testing.T) {
 		}
 	}
 }
-
-// TestFreezeCopiesConcurrentConversion checks that the layer-parallel
-// converter's node order sends Freeze down the copying path, to the
-// same snapshot the serial conversion gives.
-func TestFreezeCopiesConcurrentConversion(t *testing.T) {
-	bm, root, spec := codedROBDD(t, "ESEN4x2", 6)
-	serial := mdd.MustNew(spec.Domains)
-	sroot, err := convert.ToMDD(bm, root, serial, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := serial.Freeze(sroot).Data()
-	mm := mdd.MustNew(spec.Domains)
-	mroot, err := convert.ToMDDParallel(bm, root, mm, spec, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := mm.Freeze(mroot)
-	if sharesKids(f, mm) {
-		t.Fatal("Freeze adopted the concurrent converter's node order")
-	}
-	if !sameData(f.Data(), want) {
-		t.Fatal("snapshot of the concurrent conversion differs from the serial one")
-	}
-}

@@ -5,27 +5,18 @@ import (
 )
 
 // Option configures optional instrumentation of a conversion run; the
-// zero configuration costs nothing (both hooks no-op when nil).
+// zero configuration costs nothing (the hook no-ops when nil).
 type Option func(*options)
 
 type options struct {
-	state  *obs.BuildState
-	tracer *obs.Tracer
+	state *obs.BuildState
 }
 
 // WithBuildState attaches a live progress tracker: the converter
-// counts converted entry nodes (and, in the parallel converter,
-// publishes the discovered total after pass 1), so /v1/builds and the
-// flight recorder can report layers-done/total mid-conversion.
+// counts converted entry nodes, so /v1/builds and the flight recorder
+// can report progress mid-conversion.
 func WithBuildState(b *obs.BuildState) Option {
 	return func(o *options) { o.state = b }
-}
-
-// WithTracer attaches a flight-recorder tracer: each per-layer worker
-// range in the parallel converter becomes one timed event on its
-// worker's track in the Chrome trace export.
-func WithTracer(t *obs.Tracer) Option {
-	return func(o *options) { o.tracer = t }
 }
 
 func applyOptions(opts []Option) options {

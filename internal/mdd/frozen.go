@@ -34,13 +34,13 @@ type Frozen struct {
 // without affecting the snapshot.
 //
 // When the manager already holds exactly the nodes reachable from n,
-// numbered in the post-order the snapshot uses — the layout the serial
+// numbered in the post-order the snapshot uses — the layout the
 // coded-ROBDD converter produces — Freeze adopts the manager's child
 // array instead of copying it. This is safe because the manager never
 // rewrites a child entry, only appends new ones past the snapshot's
-// end. Otherwise (a concurrent converter's node order, a manager with
-// nodes the root does not reach) Freeze copies the reachable nodes by
-// a post-order DFS. Both paths give the same FrozenData.
+// end. Otherwise (a manager built by direct MDD operations, or one
+// holding nodes the root does not reach) Freeze copies the reachable
+// nodes by a post-order DFS. Both paths give the same FrozenData.
 func (m *Manager) Freeze(n Node) *Frozen {
 	f := &Frozen{
 		domains: append([]int32(nil), m.domains...),

@@ -147,7 +147,7 @@ type BuildStatus struct {
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	PhaseSeconds   float64 `json:"phase_seconds"`
 	// PhaseDone/PhaseTotal are the work units of the current phase
-	// (gate tasks for compile, layer entry nodes for convert);
+	// (gates for compile, layer entry nodes for convert);
 	// PhaseTotal 0 means the count is unknown.
 	PhaseDone  int64 `json:"phase_done"`
 	PhaseTotal int64 `json:"phase_total,omitempty"`

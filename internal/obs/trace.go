@@ -9,10 +9,9 @@ import (
 	"time"
 )
 
-// TraceEvent is one timed slice of work attributed to a worker: a
-// compile chunk, a conversion layer range, an eval pass. Events land
-// on per-worker tracks in the Chrome trace export, which is what makes
-// parallel-build utilization visible.
+// TraceEvent is one timed slice of work attributed to a worker, such
+// as one compiled gate. Events land on per-worker tracks in the Chrome
+// trace export.
 type TraceEvent struct {
 	Name   string        `json:"name"`
 	Cat    string        `json:"cat,omitempty"`

@@ -70,12 +70,6 @@ type Config struct {
 	// SweepWorkers caps the worker pool a /v1/sweep request may ask
 	// for (default GOMAXPROCS).
 	SweepWorkers int
-	// BuildWorkers is the worker count for compiling a model's decision
-	// diagrams (yield.Options.BuildWorkers). 0 defaults to 1, the
-	// serial engine; ≥ 2 selects the concurrent engine. Results are
-	// bit-identical for every value, so this is purely a latency knob
-	// for cache misses.
-	BuildWorkers int
 	// MaxSweepPoints bounds the grid size of one sweep request
 	// (default 4096).
 	MaxSweepPoints int
@@ -92,7 +86,7 @@ type Config struct {
 	// registry is created when nil; it is served on /metrics either
 	// way.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, records per-worker build events of every
+	// Tracer, when non-nil, records the per-gate build events of every
 	// model compile for the Chrome trace export (yieldd -trace-out).
 	Tracer *obs.Tracer
 	// SlowRequestThreshold is the duration beyond which a request is
@@ -125,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SweepWorkers <= 0 {
 		c.SweepWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.BuildWorkers <= 0 {
-		c.BuildWorkers = 1
 	}
 	if c.MaxSweepPoints <= 0 {
 		c.MaxSweepPoints = 4096

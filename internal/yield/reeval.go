@@ -5,10 +5,8 @@ import (
 	"time"
 
 	"socyield/internal/defects"
-	"socyield/internal/encode"
 	"socyield/internal/mdd"
 	"socyield/internal/obs"
-	"socyield/internal/order"
 )
 
 // Reevaluator holds the ROMDD of a system built once for a fixed
@@ -45,71 +43,42 @@ func NewReevaluator(sys *System, opts Options) (*Reevaluator, error) {
 	rec := opts.Recorder
 	bs := opts.BuildState
 	// As in Evaluate: publisher start/stop stays outside the root span.
-	src := &liveSource{}
-	stopLive := startLivePublisher(rec, bs, src)
+	stopLive := startLivePublisher(rec, bs)
 	defer stopLive()
 	buildSpan := rec.Span("reevaluator-build")
 	defer buildSpan.End()
-	bs.StartPhase(obs.BuildPrepare, 0)
 	defer bs.Finish()
 
-	sp := buildSpan.Child("prepare")
-	t0 := time.Now()
-	p, err := prepare(sys, opts)
-	prepDur := time.Since(t0)
-	sp.End()
+	md, err := build(buildSpan, sys, opts)
 	if err != nil {
 		return nil, err
 	}
-	p.live = src
-	sp = buildSpan.Child("encode")
-	t0 = time.Now()
-	g, err := encode.BuildG(sys.FaultTree, p.m)
-	encDur := time.Since(t0)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	res := p.baseResult(g)
-	res.Phases.Prepare = prepDur
-	res.Phases.Encode = encDur
-
-	sp = buildSpan.Child("order")
-	t0 = time.Now()
-	plan, err := order.Assemble(g.Netlist, g.Groups, p.opts.MVOrder, p.opts.BitOrder)
-	res.Phases.Order = time.Since(t0)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	mm, mroot, err := p.buildModel(buildSpan, g, plan, res)
-	if err != nil {
-		return nil, err
-	}
+	res := md.res
 
 	// Freeze the ROMDD into an immutable compact snapshot: the manager
 	// (with its construction hash tables) becomes garbage, and every
 	// later evaluation is a goroutine-safe linear pass.
 	bs.StartPhase(obs.BuildEval, 0)
-	sp = buildSpan.Child("eval")
-	t0 = time.Now()
-	frozen := mm.Freeze(mroot)
+	sp := buildSpan.Child("eval")
+	t0 := time.Now()
+	frozen := md.mm.Freeze(md.root)
 	// Fill the default model's yield for convenience.
-	pg1, err := frozen.Prob(p.probTable(plan.GroupSeq))
+	pg1, err := frozen.Prob(md.p.probTable(md.plan.GroupSeq))
 	res.Phases.Eval = time.Since(t0)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	res.Yield = 1 - pg1
+	// Publishing is bookkeeping after the build, outside the root span.
+	buildSpan.End()
 	res.Stats.publish(rec)
 	publishResult(rec, res)
 	return &Reevaluator{
 		sys:      sys,
-		m:        p.m,
+		m:        md.p.m,
 		frozen:   frozen,
-		groupSeq: plan.GroupSeq,
+		groupSeq: md.plan.GroupSeq,
 		Result:   res,
 	}, nil
 }

@@ -18,8 +18,9 @@ import (
 //
 // Bump this whenever a change could alter the compiled diagrams or
 // their evaluation semantics for an unchanged ModelKey. Revision 6
-// corresponds to the complement-edge + parallel-build engine
-// (PR 5/PR 6 lineage).
+// corresponds to the complement-edge ROBDD engine; removing the
+// concurrent build engine that once shared it left every diagram
+// unchanged, so the revision stayed.
 const EngineRevision uint32 = 6
 
 // Snapshot is the portable state of one compiled model — everything a

@@ -122,18 +122,6 @@ type Options struct {
 	// NodeLimit bounds live ROBDD nodes (and ROMDD nodes); 0 means
 	// unlimited. Exceeding it aborts with ErrNodeLimit.
 	NodeLimit int
-	// BuildWorkers sets the worker count for the one-time build phases
-	// (coded-ROBDD compilation and ROMDD conversion). 0 and 1 select
-	// the serial engine, the default because it is the faster one on
-	// the benchmarks; ≥ 2 selects the concurrent engine with that many
-	// workers.
-	// Negative values are rejected. Results are bit-identical for
-	// every worker count — both engines build the same canonical
-	// diagrams — so BuildWorkers is excluded from ModelKey like the
-	// other result-invariant knobs. The validation routes
-	// (EvaluateOnCodedROBDD, EvaluateDirectMDD, BruteForce) always run
-	// serially regardless of this setting.
-	BuildWorkers int
 	// ForceM overrides the computed truncation point when > 0 has been
 	// set together with ForceMSet; used by experiments that pin M.
 	ForceM    int
@@ -150,23 +138,10 @@ type Options struct {
 	// is what the yieldd /v1/builds endpoint and the flight-recorder
 	// sampler read. Excluded from ModelKey: it does not affect results.
 	BuildState *obs.BuildState
-	// Tracer, when non-nil, records per-worker timed work slices
-	// (compile tasks, conversion layer ranges) for the Chrome trace
-	// export. Excluded from ModelKey like Recorder and BuildState.
+	// Tracer, when non-nil, records one timed event per compiled gate
+	// for the Chrome trace export. Excluded from ModelKey like
+	// Recorder and BuildState.
 	Tracer *obs.Tracer
-	// bddOptions carries extra engine options into the coded-ROBDD
-	// manager. Unexported: it exists so the equivalence tests can run
-	// the identical pipeline with bdd.WithoutComplementEdges and assert
-	// bit-identical yields; it is deliberately not part of the public
-	// surface (and is excluded from ModelKey like the other
-	// result-invariant knobs).
-	bddOptions []bdd.Option
-}
-
-// bddManagerOptions assembles the engine options for the coded-ROBDD
-// manager: the node budget plus any test-only overrides.
-func (o *Options) bddManagerOptions() []bdd.Option {
-	return append([]bdd.Option{bdd.WithNodeLimit(o.NodeLimit)}, o.bddOptions...)
 }
 
 func (o *Options) withDefaults() (Options, error) {
@@ -191,12 +166,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if out.NodeLimit < 0 {
 		return out, fmt.Errorf("yield: NodeLimit = %d < 0", out.NodeLimit)
-	}
-	if out.BuildWorkers < 0 {
-		return out, fmt.Errorf("yield: BuildWorkers = %d < 0", out.BuildWorkers)
-	}
-	if out.BuildWorkers == 0 {
-		out.BuildWorkers = 1
 	}
 	return out, nil
 }
@@ -254,7 +223,6 @@ type Result struct {
 // prepared carries the model quantities shared by all routes.
 type prepared struct {
 	opts   Options
-	live   *liveSource
 	pprime []float64 // P'_i by component ordinal
 	qprime []float64 // Q'_0..Q'_M
 	tail   float64
@@ -352,64 +320,40 @@ func Evaluate(sys *System, opts Options) (*Result, error) {
 	// The publisher starts (and its stop handshake runs) outside the
 	// root span, so live publishing does not eat into the inter-phase
 	// budget the span-coverage tests bound.
-	src := &liveSource{}
-	stopLive := startLivePublisher(rec, bs, src)
+	stopLive := startLivePublisher(rec, bs)
 	defer stopLive()
 	evalSpan := rec.Span("evaluate")
 	defer evalSpan.End()
-	bs.StartPhase(obs.BuildPrepare, 0)
 	defer bs.Finish()
 
-	sp := evalSpan.Child("prepare")
-	t0 := time.Now()
-	p, err := prepare(sys, opts)
-	prepDur := time.Since(t0)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	p.live = src
-
-	sp = evalSpan.Child("encode")
-	t0 = time.Now()
-	g, err := encode.BuildG(sys.FaultTree, p.m)
-	encDur := time.Since(t0)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	res := p.baseResult(g)
-	res.Phases.Prepare = prepDur
-	res.Phases.Encode = encDur
-
-	sp = evalSpan.Child("order")
-	t0 = time.Now()
-	plan, err := order.Assemble(g.Netlist, g.Groups, p.opts.MVOrder, p.opts.BitOrder)
-	res.Phases.Order = time.Since(t0)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	mm, mroot, err := p.buildModel(evalSpan, g, plan, res)
-	if err != nil {
+	// Publishing is bookkeeping after the run, outside the root span.
+	publish := func(res *Result) {
+		evalSpan.End()
 		res.Stats.publish(rec)
 		publishResult(rec, res)
-		return res, err
 	}
 
+	md, err := build(evalSpan, sys, opts)
+	if err != nil {
+		if md.res != nil {
+			// A failed compile or convert still reports what it built.
+			publish(md.res)
+			return md.res, err
+		}
+		return nil, err
+	}
+	res := md.res
 	bs.StartPhase(obs.BuildEval, 0)
-	sp = evalSpan.Child("eval")
-	t0 = time.Now()
-	pg1, err := mm.Prob(mroot, p.probTable(plan.GroupSeq))
+	sp := evalSpan.Child("eval")
+	t0 := time.Now()
+	pg1, err := md.mm.Prob(md.root, md.p.probTable(md.plan.GroupSeq))
 	res.Phases.Eval = time.Since(t0)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	res.Yield = 1 - pg1
-	res.Stats.publish(rec)
-	publishResult(rec, res)
+	publish(res)
 	return res, nil
 }
 
@@ -440,7 +384,7 @@ func EvaluateOnCodedROBDD(sys *System, opts Options) (*Result, error) {
 		return nil, err
 	}
 	t0 = time.Now()
-	bm := bdd.New(g.Netlist.NumInputs(), p.opts.bddManagerOptions()...)
+	bm := bdd.New(g.Netlist.NumInputs(), bdd.WithNodeLimit(p.opts.NodeLimit))
 	root, err := compile.Netlist(bm, g.Netlist, plan.BinaryLevels)
 	res.Phases.Compile = time.Since(t0)
 	res.Stats.BDD = bm.Stats()

@@ -116,9 +116,8 @@ func NewSampler(reg *Metrics, interval time.Duration, capacity int) *Sampler {
 	return obs.NewSampler(reg, interval, capacity)
 }
 
-// Tracer collects per-work-unit build events (compile gate tasks,
-// conversion layer ranges) into a bounded ring for the Chrome trace
-// export. Set Options.Tracer to record a build; a nil *Tracer is valid
+// Tracer collects per-gate compile events into a bounded ring for the
+// Chrome trace export. Set Options.Tracer to record a build; a nil *Tracer is valid
 // everywhere and records nothing.
 type Tracer = obs.Tracer
 
