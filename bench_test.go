@@ -121,9 +121,13 @@ var sweepSetup struct {
 	err  error
 }
 
-// BenchmarkSweepSerialVsParallel times a 64-point (λ, α) batch sweep on
-// one shared ESEN8x2 ROMDD with one worker and with all cores, and
-// checks the parallel results are bit-identical to the serial ones.
+// BenchmarkSweepSerialVsParallel times a 64-point batch sweep on one
+// shared ESEN8x2 ROMDD with one worker and with all cores, and checks
+// the parallel results are bit-identical to the serial ones. The 64
+// points are distinct lethality vectors (each P_i scaled by a factor
+// in [0.5, 1.5), then rescaled to the system's P_L) under one NB law,
+// so every point pays its own ROMDD pass: a law sweep at fixed P_i
+// would cost one pass in all.
 func BenchmarkSweepSerialVsParallel(b *testing.B) {
 	s := &sweepSetup
 	s.once.Do(func() {
@@ -138,22 +142,19 @@ func BenchmarkSweepSerialVsParallel(b *testing.B) {
 		if s.re, s.err = socyield.NewReevaluator(sys, socyield.Options{Defects: dist, Epsilon: 2e-3}); s.err != nil {
 			return
 		}
-		ps := make([]float64, len(sys.Components))
-		for i, c := range sys.Components {
-			ps[i] = c.P
-		}
-		var dists []socyield.Distribution
-		for i := 0; i < 16; i++ {
-			for _, alpha := range []float64{0.25, 1, 2, 3.4} {
-				d, err := socyield.NewNegativeBinomial(0.5+0.25*float64(i), alpha)
-				if err != nil {
-					s.err = err
-					return
-				}
-				dists = append(dists, d)
+		for j := 0; j < 64; j++ {
+			ps := make([]float64, len(sys.Components))
+			pl, sum := 0.0, 0.0
+			for i, c := range sys.Components {
+				ps[i] = c.P * (0.5 + float64((7*i+13*j)%16)/16)
+				pl += c.P
+				sum += ps[i]
 			}
+			for i := range ps {
+				ps[i] *= pl / sum
+			}
+			s.grid = append(s.grid, socyield.SweepPoint{PS: ps, Dist: dist})
 		}
-		s.grid = socyield.LambdaGrid(ps, dists)
 	})
 	if s.err != nil {
 		b.Fatal(s.err)

@@ -13,34 +13,24 @@
 //	experiments -baseline is -samples 200000   # importance sampling
 //	experiments -all                # everything the paper reports
 //	experiments -workers 8 -table 4 -full
-//	experiments -bench-json BENCH_1.json
 //
 // By default only the quick row subset runs; -full selects all fifteen
 // rows of the paper's tables (minutes to an hour on one core —
 // -workers fans independent rows out across cores).
-//
-// -bench-json runs the batch-sweep scaling benchmark (one shared
-// ROMDD, a (λ', α) grid of evaluation points, serial vs parallel) and
-// writes the timing trajectory to the given file.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"socyield/internal/cliutil"
-	"socyield/internal/defects"
 	"socyield/internal/experiments"
 	"socyield/internal/obs"
-	"socyield/internal/store"
-	"socyield/internal/yield"
 )
 
 func main() {
@@ -56,16 +46,11 @@ func main() {
 		epsilon    = flag.Float64("eps", 0, "yield error requirement (0 = default 5e-3)")
 		alpha      = flag.Float64("alpha", 0, "NB clustering parameter (0 = default 2)")
 		workers    = flag.Int("workers", 0, "cases evaluated concurrently (0 = all cores)")
-		benchJSON  = flag.String("bench-json", "", "write the sweep scaling benchmark trajectory to this file")
-		benchCase  = flag.String("bench-case", "ESEN8x2:1", `benchmark rows for -bench-json, e.g. "ESEN8x2:1,MS19:1"`)
-		benchPts   = flag.Int("bench-points", 64, "sweep grid size for -bench-json")
 		metricsJS  = flag.String("metrics-json", "", "write collected metrics as JSON to this file (\"-\" = stdout)")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file of the run to this file (Perfetto-loadable)")
 		samplesOut = flag.String("samples-out", "", "write the sampled metrics time series as JSONL to this file (\"-\" = stdout)")
 		sampleInt  = flag.Duration("sample-interval", 0, "flight-recorder sampling interval (0 = 100ms default)")
-		progress   = flag.Bool("progress", false, "print periodic progress lines for sweeps")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and an expvar metrics dump on this address")
-		storeDir   = flag.String("store-dir", "", "persistent compiled-model store for -bench-json builds (shared with yieldd -store-dir)")
 	)
 	flag.Parse()
 	var rec *obs.Registry
@@ -77,14 +62,6 @@ func main() {
 	}
 	flight := cliutil.StartFlightRecorder(rec, *traceOut, *samplesOut, *sampleInt)
 	cfg := experiments.Config{Alpha: *alpha, Epsilon: *epsilon, NodeLimit: *nodeLimit, Workers: *workers, Recorder: rec, Tracer: flight.Tracer()}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, 0, rec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		cfg.Store = st
-	}
 	cases := experiments.QuickCases()
 	if *full || *all {
 		cases = experiments.PaperCases()
@@ -129,11 +106,6 @@ func main() {
 	if *baseline == "is" || *all {
 		run("Baseline: importance-sampling simulation", func() error { return printBaselineIS(os.Stdout, cases, *samples, cfg) })
 	}
-	if *benchJSON != "" {
-		run("Benchmark: batch sweep serial vs parallel", func() error {
-			return runSweepBench(*benchJSON, *benchCase, *benchPts, *workers, *progress, cfg)
-		})
-	}
 	if !ran {
 		flag.Usage()
 		os.Exit(2)
@@ -148,172 +120,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// sweepBench is the JSON record of one -bench-json run: the one-time
-// ROMDD build, then the same sweep grid timed at increasing worker
-// counts (the timing trajectory).
-type sweepBench struct {
-	Benchmark   string `json:"benchmark"`
-	LambdaPrime int    `json:"lambda_prime"`
-	Points      int    `json:"points"`
-	Cores       int    `json:"cores"`
-	ROMDDNodes  int    `json:"romdd_nodes"`
-	// ModelFromStore reports that -store-dir served the compiled model,
-	// so BuildSec measures a decode + restore, not a compile.
-	ModelFromStore bool    `json:"model_from_store,omitempty"`
-	BuildSec       float64 `json:"build_seconds"`
-	// Compile-path statistics of the one-time build: final coded-ROBDD
-	// node count, the live-node high-water mark split by phase (the
-	// compile peak is the paper's "ROBDD peak"), and the ITE operation
-	// cache hit rate during compilation.
-	CodedROBDDNodes  int     `json:"coded_robdd_nodes"`
-	ROBDDPeakCompile int     `json:"robdd_peak_compile"`
-	ROBDDPeakConvert int     `json:"robdd_peak_convert"`
-	ITECacheHitRate  float64 `json:"ite_cache_hit_rate"`
-	// BuildPhases splits BuildSec into the pipeline's phases, from the
-	// one-time ROMDD construction (seconds per phase).
-	BuildPhases struct {
-		Prepare float64 `json:"prepare"`
-		Encode  float64 `json:"encode"`
-		Order   float64 `json:"order"`
-		Compile float64 `json:"compile"`
-		Convert float64 `json:"convert"`
-		Eval    float64 `json:"eval"`
-	} `json:"build_phases"`
-	Trajectory []struct {
-		Workers int     `json:"workers"`
-		Seconds float64 `json:"seconds"`
-		Speedup float64 `json:"speedup_vs_serial"`
-	} `json:"trajectory"`
-	Identical bool `json:"parallel_identical_to_serial"`
-}
-
-// runSweepBench runs benchOneCase for every case in caseSpec and
-// writes the records as JSON: a single object for one case (the
-// BENCH_1.json format), an array for several.
-func runSweepBench(path, caseSpec string, points, maxWorkers int, progress bool, cfg experiments.Config) error {
-	parsed, err := parseCases(caseSpec)
-	if err != nil || len(parsed) == 0 {
-		return fmt.Errorf("bad -bench-case %q: %v", caseSpec, err)
-	}
-	records := make([]sweepBench, 0, len(parsed))
-	for _, cs := range parsed {
-		rec, err := benchOneCase(cs, points, maxWorkers, progress, cfg)
-		if err != nil {
-			return err
-		}
-		records = append(records, rec)
-	}
-	var data []byte
-	if len(records) == 1 {
-		data, err = json.MarshalIndent(records[0], "", "  ")
-	} else {
-		data, err = json.MarshalIndent(records, "", "  ")
-	}
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// benchOneCase builds one shared ROMDD, evaluates a (λ', α) grid of
-// points serially and at doubling worker counts, and verifies the
-// results are bit-identical.
-func benchOneCase(cs experiments.Case, points, maxWorkers int, progress bool, cfg experiments.Config) (sweepBench, error) {
-	sys, err := cliutil.LoadSystem(cs.Benchmark, "")
-	if err != nil {
-		return sweepBench{}, err
-	}
-	alpha, eps := cfg.Alpha, cfg.Epsilon
-	if alpha == 0 {
-		alpha = 3.4
-	}
-	if eps == 0 {
-		eps = 2e-3
-	}
-	dist, err := defects.NewNegativeBinomial(2*float64(cs.LambdaPrime), alpha)
-	if err != nil {
-		return sweepBench{}, err
-	}
-	t0 := time.Now()
-	re, fromStore, err := store.LoadOrBuild(cfg.Store, sys, yield.Options{Defects: dist, Epsilon: eps, Recorder: cfg.Recorder})
-	if err != nil {
-		return sweepBench{}, err
-	}
-	out := sweepBench{
-		Benchmark:        cs.Benchmark,
-		LambdaPrime:      cs.LambdaPrime,
-		Points:           points,
-		Cores:            runtime.NumCPU(),
-		ROMDDNodes:       re.Result.ROMDDSize,
-		ModelFromStore:   fromStore,
-		BuildSec:         time.Since(t0).Seconds(),
-		CodedROBDDNodes:  re.Result.CodedROBDDSize,
-		ROBDDPeakCompile: re.Result.Stats.CompilePeakLive,
-		ROBDDPeakConvert: re.Result.Stats.ConvertPeakLive,
-		Identical:        true,
-	}
-	if hits, misses := re.Result.Stats.BDD.ApplyCacheHits, re.Result.Stats.BDD.ApplyCacheMisses; hits+misses > 0 {
-		out.ITECacheHitRate = float64(hits) / float64(hits+misses)
-	}
-	ph := re.Result.Phases
-	out.BuildPhases.Prepare = ph.Prepare.Seconds()
-	out.BuildPhases.Encode = ph.Encode.Seconds()
-	out.BuildPhases.Order = ph.Order.Seconds()
-	out.BuildPhases.Compile = ph.Compile.Seconds()
-	out.BuildPhases.Convert = ph.Convert.Seconds()
-	out.BuildPhases.Eval = ph.Eval.Seconds()
-	ps := make([]float64, len(sys.Components))
-	for i, c := range sys.Components {
-		ps[i] = c.P
-	}
-	grid := sweepGrid(ps, points)
-	if maxWorkers <= 0 {
-		maxWorkers = runtime.GOMAXPROCS(0)
-	}
-	serial := re.Sweep(grid, yield.SweepOptions{Workers: 1}) // warm-up and reference
-	var serialSec float64
-	for w := 1; w <= maxWorkers; w *= 2 {
-		var meter *obs.Progress
-		if progress {
-			meter = obs.NewProgress(os.Stderr, fmt.Sprintf("sweep w=%d", w), len(grid), 0)
-		}
-		t0 = time.Now()
-		res := re.Sweep(grid, yield.SweepOptions{Workers: w, Recorder: cfg.Recorder, Progress: meter})
-		sec := time.Since(t0).Seconds()
-		meter.Close()
-		if w == 1 {
-			serialSec = sec
-		}
-		for i := range res {
-			if res[i] != serial[i] {
-				out.Identical = false
-			}
-		}
-		out.Trajectory = append(out.Trajectory, struct {
-			Workers int     `json:"workers"`
-			Seconds float64 `json:"seconds"`
-			Speedup float64 `json:"speedup_vs_serial"`
-		}{Workers: w, Seconds: sec, Speedup: serialSec / sec})
-		fmt.Printf("workers=%-3d %8.3fs  speedup %.2fx  identical %v\n", w, sec, serialSec/sec, out.Identical)
-	}
-	return out, nil
-}
-
-// sweepGrid builds an n-point (λ', α) grid around the case's model.
-func sweepGrid(ps []float64, n int) []yield.SweepPoint {
-	grid := make([]yield.SweepPoint, 0, n)
-	for i := 0; len(grid) < n; i++ {
-		lambda := 0.5 + 0.25*float64(i%16)
-		alpha := []float64{0.25, 1, 2, 3.4}[(i/16)%4]
-		d, err := defects.NewNegativeBinomial(lambda, alpha)
-		if err != nil {
-			continue
-		}
-		grid = append(grid, yield.SweepPoint{PS: ps, Dist: d})
-	}
-	return grid
 }
 
 func parseCases(s string) ([]experiments.Case, error) {

@@ -24,7 +24,6 @@ import (
 	"socyield/internal/montecarlo"
 	"socyield/internal/obs"
 	"socyield/internal/order"
-	"socyield/internal/store"
 	"socyield/internal/yield"
 )
 
@@ -98,11 +97,6 @@ type Config struct {
 	// every evaluation into the flight recorder's trace ring. Like the
 	// Recorder it is concurrency-safe and shared across cases.
 	Tracer *obs.Tracer
-	// Store, when non-nil, is a persistent compiled-model store (the
-	// same artifacts yieldd -store-dir serves): benchmark drivers that
-	// support it load compiled models from the store instead of
-	// rebuilding, and write fresh builds through.
-	Store *store.Store
 }
 
 const (

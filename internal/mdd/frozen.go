@@ -12,9 +12,10 @@ import (
 // evaluate from any number of goroutines with no external
 // synchronization, even while the original manager keeps growing.
 //
-// Beyond safety, the compaction pays for itself: Prob becomes a single
-// forward pass over a dense array (no recursion, no hash lookups, good
-// locality), which is the hot loop of every yield sweep.
+// Beyond safety, the compaction pays for itself: a probability pass
+// (Split, Prob, Grad) walks a dense array (no recursion, no hash
+// lookups, good locality), which is the hot loop of every what-if
+// evaluation.
 type Frozen struct {
 	domains []int32
 	// levels[i] is the level of compact node i; terminals keep indices
@@ -150,8 +151,8 @@ func (f *Frozen) Data() FrozenData {
 //   - every internal node's level is a valid variable level;
 //   - the concatenated child arrays cover Kids exactly;
 //   - children strictly precede their parent (kid index < node index),
-//     which both guarantees Eval terminates and gives Prob its single
-//     forward pass;
+//     which both guarantees Eval terminates and gives the probability
+//     passes their node order;
 //   - internal children sit at strictly deeper levels than their
 //     parent (the ordered-diagram property Manager.MkNode enforces);
 //   - the root is a valid node index.
@@ -249,51 +250,73 @@ func (f *Frozen) Size() int {
 	return n
 }
 
-func (f *Frozen) checkProbs(probs [][]float64) error {
+// checkProbs validates the probability table against the domains.
+// The row at level skip (−1 for none) is not read and may be nil.
+func (f *Frozen) checkProbs(probs [][]float64, skip int) error {
 	if len(probs) < len(f.domains) {
 		return fmt.Errorf("mdd: probability table has %d levels, need %d", len(probs), len(f.domains))
 	}
 	for l, p := range probs[:len(f.domains)] {
-		if len(p) != int(f.domains[l]) {
+		if l != skip && len(p) != int(f.domains[l]) {
 			return fmt.Errorf("mdd: probability row %d has %d entries, want %d", l, len(p), f.domains[l])
 		}
 	}
 	return nil
 }
 
-// Prob returns P(f = 1) under independent per-level value
-// distributions, exactly as Manager.Prob, but as one forward pass over
-// the topologically ordered node array. All scratch state is local, so
-// any number of goroutines may call Prob concurrently on one snapshot.
-func (f *Frozen) Prob(probs [][]float64) (float64, error) {
-	if err := f.checkProbs(probs); err != nil {
-		return 0, err
-	}
-	return f.probInto(probs, make([]float64, len(f.levels))), nil
-}
-
-// ProbBuffer is reusable scratch space for ProbWith, letting tight
-// sweep loops amortize the one allocation Prob makes per call. Each
-// goroutine must use its own buffer.
-type ProbBuffer struct {
+// PassBuffer is reusable scratch space for Split, letting tight loops
+// amortize the per-node array a pass needs. Each goroutine must use
+// its own buffer; a nil buffer allocates per call.
+type PassBuffer struct {
 	vals []float64
 }
 
-// ProbWith is Prob using caller-owned scratch space.
-func (f *Frozen) ProbWith(probs [][]float64, buf *ProbBuffer) (float64, error) {
-	if err := f.checkProbs(probs); err != nil {
-		return 0, err
+// nodes returns a scratch array with one entry per node.
+func (buf *PassBuffer) nodes(n int) []float64 {
+	if buf == nil {
+		return make([]float64, n)
 	}
-	if cap(buf.vals) < len(f.levels) {
-		buf.vals = make([]float64, len(f.levels))
+	if cap(buf.vals) < n {
+		buf.vals = make([]float64, n)
 	}
-	return f.probInto(probs, buf.vals[:len(f.levels)]), nil
+	return buf.vals[:n]
 }
 
-func (f *Frozen) probInto(probs [][]float64, vals []float64) float64 {
+// Split runs one pass over the snapshot that stops at the variable of
+// the given level: it returns a vector g, one entry per value of that
+// variable, and a scalar s such that for every distribution w of the
+// variable
+//
+//	P(f = 1) = Σ_v w[v]·g[v] + s.
+//
+// g[v] sums, over the nodes at the level, the probability of reaching
+// the node times the probability of its v-child; s is the probability
+// carried by the paths that skip the level. The row probs[level] is
+// not read and may be nil, so g and s depend only on the other rows.
+//
+// The pass visits every node once: a forward pass computes the value of
+// each node below the level, a top-down pass the reach probability of
+// each node at or above it, and the two share one array because the
+// node sets are disjoint. Fold turns (g, s) and a row into P(f = 1).
+func (f *Frozen) Split(probs [][]float64, level int, buf *PassBuffer) (g []float64, s float64, err error) {
+	if level < 0 || level >= len(f.domains) {
+		return nil, 0, fmt.Errorf("mdd: split level %d outside [0,%d)", level, len(f.domains))
+	}
+	if err := f.checkProbs(probs, level); err != nil {
+		return nil, 0, err
+	}
+	g = make([]float64, f.domains[level])
+	return g, f.split(probs, int32(level), buf.nodes(len(f.levels)), g), nil
+}
+
+func (f *Frozen) split(probs [][]float64, level int32, vals, g []float64) (s float64) {
 	vals[False], vals[True] = 0, 1
 	for i := 2; i < len(f.levels); i++ {
 		lv := f.levels[i]
+		if lv <= level {
+			vals[i] = 0 // the node's reach, accumulated below
+			continue
+		}
 		row := probs[lv]
 		off := int(f.kidsOff[i])
 		total := 0.0
@@ -304,7 +327,112 @@ func (f *Frozen) probInto(probs [][]float64, vals []float64) float64 {
 		}
 		vals[i] = total
 	}
-	return vals[f.root]
+	if f.root < 2 || f.levels[f.root] > level {
+		return vals[f.root]
+	}
+	// Parents follow their children, so walking down from the root
+	// finishes each node's reach before the node is read.
+	vals[f.root] = 1
+	for i := int(f.root); i >= 2; i-- {
+		lv := f.levels[i]
+		reach := vals[i]
+		if lv > level || reach == 0 {
+			continue
+		}
+		off := int(f.kidsOff[i])
+		if lv == level {
+			for v, k := range f.kids[off : off+len(g)] {
+				g[v] += reach * vals[k]
+			}
+			continue
+		}
+		row := probs[lv]
+		for v, k := range f.kids[off : off+len(row)] {
+			p := row[v]
+			if p == 0 {
+				continue
+			}
+			if k < 2 || f.levels[k] > level {
+				s += reach * p * vals[k]
+			} else {
+				vals[k] += reach * p
+			}
+		}
+	}
+	return s
+}
+
+// Fold returns Σ_v row[v]·g[v] + s, the probability a Split pass
+// describes under the distribution row. Zero-probability values are
+// skipped, as in the forward pass.
+func Fold(row, g []float64, s float64) float64 {
+	total := 0.0
+	for v, p := range row {
+		if p != 0 {
+			total += p * g[v]
+		}
+	}
+	return total + s
+}
+
+// Prob returns P(f = 1) under independent per-level value
+// distributions, exactly as Manager.Prob: it is the Split pass at the
+// root's level, where the root is the only node, folded with the
+// root's row. There g holds the root's child values and s is 0, so
+// the sum is the one a plain forward pass forms. All scratch state is
+// local, so any number of goroutines may call Prob concurrently on one
+// snapshot.
+func (f *Frozen) Prob(probs [][]float64) (float64, error) {
+	if err := f.checkProbs(probs, -1); err != nil {
+		return 0, err
+	}
+	if f.root < 2 {
+		return float64(f.root), nil
+	}
+	lv := f.levels[f.root]
+	g := make([]float64, f.domains[lv])
+	s := f.split(probs, lv, make([]float64, len(f.levels)), g)
+	return Fold(probs[lv], g, s), nil
+}
+
+// Grad returns P(f = 1) and its gradient with respect to every entry
+// of the probability table: grad[l][v] = ∂P/∂probs[l][v]. It is one
+// forward pass for the node values and one reverse pass for the node
+// adjoints (the probability of reaching each node); the entry for
+// (l, v) sums adjoint × v-child value over the nodes at level l.
+func (f *Frozen) Grad(probs [][]float64) (p float64, grad [][]float64, err error) {
+	if err := f.checkProbs(probs, -1); err != nil {
+		return 0, nil, err
+	}
+	grad = make([][]float64, len(f.domains))
+	for l, d := range f.domains {
+		grad[l] = make([]float64, d)
+	}
+	// A split above every level is the plain forward pass: it leaves
+	// the value of every node in vals.
+	vals := make([]float64, len(f.levels))
+	p = f.split(probs, -1, vals, nil)
+	if f.root < 2 {
+		return p, grad, nil
+	}
+	adj := make([]float64, len(f.levels))
+	adj[f.root] = 1
+	for i := int(f.root); i >= 2; i-- {
+		a := adj[i]
+		if a == 0 {
+			continue
+		}
+		lv := f.levels[i]
+		row, gr := probs[lv], grad[lv]
+		off := int(f.kidsOff[i])
+		for v, k := range f.kids[off : off+len(row)] {
+			gr[v] += a * vals[k]
+			if k >= 2 {
+				adj[k] += a * row[v]
+			}
+		}
+	}
+	return p, grad, nil
 }
 
 // Eval evaluates the frozen function under the assignment

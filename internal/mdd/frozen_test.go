@@ -79,10 +79,15 @@ func TestFrozenMatchesManager(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: frozen prob %v, manager %v", trial, got, want)
 		}
-		var buf ProbBuffer
-		got2, err := f.ProbWith(probs, &buf)
-		if err != nil || got2 != got {
-			t.Fatalf("ProbWith: %v, %v (want %v)", got2, err, got)
+		if root >= 2 {
+			// The split pass at the root's level, folded with the
+			// root's row, forms the same sum through a reused buffer.
+			var buf PassBuffer
+			lv := int(f.levels[f.root])
+			g, s, err := f.Split(probs, lv, &buf)
+			if got2 := Fold(probs[lv], g, s); err != nil || got2 != got {
+				t.Fatalf("Split at the root: %v, %v (want %v)", got2, err, got)
+			}
 		}
 		ms, fs := m.ComputeStats(root), f.ComputeStats()
 		if ms.Nodes != fs.Nodes || ms.MaxWidth != fs.MaxWidth || math.Abs(ms.AvgDegree-fs.AvgDegree) > 1e-12 {
@@ -262,10 +267,11 @@ func TestFrozenConcurrentReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf ProbBuffer
+			var buf PassBuffer
+			lv := int(f.levels[f.root])
 			for i := 0; i < 200; i++ {
-				got, err := f.ProbWith(probs, &buf)
-				if err != nil || got != want {
+				g, s, err := f.Split(probs, lv, &buf)
+				if got := Fold(probs[lv], g, s); err != nil || got != want {
 					errs <- err
 					return
 				}

@@ -112,10 +112,12 @@ func (c *modelCache) get(ctx context.Context, key string, build func() (*yield.R
 		// finishes and serves everyone queued behind the entry.
 		go func() {
 			entry.re, entry.err = build()
-			close(entry.ready)
+			// Drop a failed entry before waking its waiters, so none
+			// of them can still find it in the cache.
 			if entry.err != nil {
 				c.remove(entry)
 			}
+			close(entry.ready)
 		}()
 	}
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -307,6 +308,14 @@ func TestSweep(t *testing.T) {
 			t.Errorf("point %d: parallel %+v != serial %+v", i, sw.Results[i], sw1.Results[i])
 		}
 	}
+
+	// Every point of a λ sweep shares the lethalities, so each sweep
+	// costs one ROMDD pass, not one per point.
+	snap := metricsSnapshot(t, ts)
+	if snap.Counters["sweep.passes"] != 2 || snap.Counters["sweep.points"] != 8 {
+		t.Errorf("sweep.passes=%d, sweep.points=%d; want 2 passes for 8 points",
+			snap.Counters["sweep.passes"], snap.Counters["sweep.points"])
+	}
 }
 
 // TestSensitivities spot-checks the sensitivities path: the TMR
@@ -325,6 +334,38 @@ func TestSensitivities(t *testing.T) {
 	for _, s := range resp.Sensitivities {
 		if s.DYieldDP >= 0 {
 			t.Errorf("∂Y/∂P_%s = %v, want negative", s.Component, s.DYieldDP)
+		}
+	}
+}
+
+// TestSensitivitiesAtFullLethality: a series system with P_L = 1.
+// Bumping a P_i would leave (0,1]; the exact derivative needs no bump,
+// so the request succeeds, and every component gets dQ'_0/dP_L.
+func TestSensitivitiesAtFullLethality(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	src := `
+system series
+component a 0.5
+component b 0.25
+component c 0.25
+fails = or(a, b, c)
+`
+	body := fmt.Sprintf(`{"ftdsl": %q, "defects": {"lambda": 1, "alpha": 2}, "sensitivities": true}`, src)
+	var resp EvaluateResponse
+	if code := post(t, ts, "/v1/evaluate", body, &resp); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	// Y = Q'_0 = (1+λ/α)^-α, so dY/dP_L = −λ·(1+λ/α)^-(α+1).
+	want := -math.Pow(1.5, -3)
+	if math.Abs(resp.Yield-math.Pow(1.5, -2)) > 1e-15 {
+		t.Errorf("yield %v, want %v", resp.Yield, math.Pow(1.5, -2))
+	}
+	if len(resp.Sensitivities) != 3 {
+		t.Fatalf("got %d sensitivities, want 3", len(resp.Sensitivities))
+	}
+	for _, s := range resp.Sensitivities {
+		if math.Abs(s.DYieldDP-want) > 1e-14 {
+			t.Errorf("∂Y/∂P_%s = %v, want %v", s.Component, s.DYieldDP, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"socyield/internal/defects"
@@ -117,6 +118,26 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			if fresh[i] != warm[i] {
 				t.Fatalf("trial %d: sweep point %d: loaded %+v, fresh %+v", trial, i, warm[i], fresh[i])
 			}
+		}
+		// A grid that varies P_i as well: every point of the loaded
+		// model's sweep equals the fresh model's Yield.
+		var mixed []yield.SweepPoint
+		for j, d := range dists {
+			halved := append([]float64(nil), ps...)
+			halved[j%len(halved)] *= 0.5
+			mixed = append(mixed, yield.SweepPoint{PS: halved, Dist: d}, yield.SweepPoint{PS: ps, Dist: d})
+		}
+		warm = loaded.Sweep(mixed, yield.SweepOptions{Workers: 3})
+		for i, pt := range mixed {
+			y, b, err := re.Yield(pt.PS, pt.Dist)
+			if err != nil || warm[i] != (yield.SweepResult{Yield: y, ErrorBound: b}) {
+				t.Fatalf("trial %d: mixed sweep point %d: loaded %+v, fresh Yield %v/%v (%v)", trial, i, warm[i], y, b, err)
+			}
+		}
+		s1, err1 := re.Sensitivities(ps, dists[0], 0)
+		s2, err2 := loaded.Sensitivities(ps, dists[0], 0)
+		if err1 != nil || err2 != nil || !slices.Equal(s1, s2) {
+			t.Fatalf("trial %d: sensitivities: loaded %v (%v), fresh %v (%v)", trial, s2, err2, s1, err1)
 		}
 	}
 }

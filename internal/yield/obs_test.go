@@ -128,8 +128,8 @@ func TestEvaluateNilRecorder(t *testing.T) {
 	}
 }
 
-// TestReevaluatorRecorder checks the build-once path fills Phases (the
-// -bench-json split) and streams sweep metrics.
+// TestReevaluatorRecorder checks the build-once path fills Phases and
+// streams sweep metrics.
 func TestReevaluatorRecorder(t *testing.T) {
 	sys := tmrSystem(0.2, 0.15, 0.15)
 	dist, err := defects.NewNegativeBinomial(2, 0.25)
@@ -164,6 +164,9 @@ func TestReevaluatorRecorder(t *testing.T) {
 		}
 	}
 	snap := rec.Snapshot()
+	if n := snap.Counters["sweep.passes"]; n != 1 {
+		t.Errorf("sweep.passes = %d for one lethality vector, want 1", n)
+	}
 	if n := snap.Counters["sweep.points"]; n != int64(len(dists)) {
 		t.Errorf("sweep.points = %d, want %d", n, len(dists))
 	}

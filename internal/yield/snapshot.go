@@ -184,11 +184,5 @@ func RestoreReevaluator(snap *Snapshot) (*Reevaluator, error) {
 	// component count (input-length checks) and the name (reports).
 	// Lethalities and the fault tree live only in the build pipeline.
 	sys := &System{Name: snap.SystemName, Components: make([]Component, snap.Components)}
-	return &Reevaluator{
-		sys:      sys,
-		m:        snap.M,
-		frozen:   snap.Frozen,
-		groupSeq: append([]int(nil), snap.GroupSeq...),
-		Result:   res,
-	}, nil
+	return newReevaluator(sys, snap.M, snap.Frozen, append([]int(nil), snap.GroupSeq...), res), nil
 }

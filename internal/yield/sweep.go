@@ -1,6 +1,8 @@
 package yield
 
 import (
+	"encoding/binary"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -41,9 +43,11 @@ type SweepOptions struct {
 	// SweepPoint.Dist nil.
 	Dist defects.Distribution
 	// Recorder, when non-nil, receives sweep instrumentation: a
-	// "sweep.point_ns" latency histogram, "sweep.points" and
-	// "sweep.errors" counters, per-pool busy time ("sweep.busy_ns") and
-	// a "sweep.utilization" gauge (busy time / workers × wall time).
+	// "sweep.passes" counter (ROMDD passes, one per distinct
+	// lethality vector), a "sweep.point_ns" latency histogram of the
+	// per-point law work, "sweep.points" and "sweep.errors" counters,
+	// per-pool busy time ("sweep.busy_ns", passes included) and a
+	// "sweep.utilization" gauge (busy time / workers × wall time).
 	// Leaving it nil keeps the per-point loop free of clock reads.
 	Recorder *obs.Registry
 	// Progress, when non-nil, is advanced by one per completed point
@@ -65,12 +69,28 @@ func (o SweepOptions) workers(points int) int {
 	return w
 }
 
+// sweepVector is one distinct lethality vector of a sweep with its
+// split ROMDD pass.
+type sweepVector struct {
+	pprime []float64
+	pl     float64
+	g      []float64
+	s      float64
+	err    error
+}
+
 // Sweep evaluates a grid of (P_i, distribution) points on the shared
 // frozen ROMDD with a bounded worker pool. Results are order-stable:
-// out[i] always corresponds to points[i]. Cost per point is one
-// lethal-model transform plus one linear ROMDD pass, so sweeps of
-// thousands of points are routine; the worker pool exists to use every
-// core, not to hide expensive rebuilds — nothing is rebuilt.
+// out[i] always corresponds to points[i].
+//
+// The points are grouped by their P_i vector. Each distinct vector
+// costs one linear ROMDD pass, which yields its conditional-failure
+// vector; each point then costs one lethal-model transform and a dot
+// product of M+2 terms. A law sweep at fixed P_i is therefore one pass
+// however many points it has; the worker pool spreads the passes of
+// grids that vary P_i and the law work of large grids over the cores.
+// Each point's arithmetic is that of Yield, so the results equal it
+// exactly.
 //
 // Points with invalid inputs report through SweepResult.Err instead of
 // failing the whole sweep, so a grid that brushes P_L = 0 or P_L > 1
@@ -85,9 +105,10 @@ func (r *Reevaluator) Sweep(points []SweepPoint, opts SweepOptions) []SweepResul
 	// Resolve instruments once, outside the point loop; nil stays nil
 	// and the loop takes the uninstrumented branch.
 	var pointNS *obs.Histogram
-	var pointCnt, errCnt, busyNS *obs.Counter
+	var passCnt, pointCnt, errCnt, busyNS *obs.Counter
 	var sweepStart time.Time
 	if rec != nil {
+		passCnt = rec.Counter("sweep.passes")
 		pointNS = rec.Histogram("sweep.point_ns")
 		pointCnt = rec.Counter("sweep.points")
 		errCnt = rec.Counter("sweep.errors")
@@ -95,52 +116,75 @@ func (r *Reevaluator) Sweep(points []SweepPoint, opts SweepOptions) []SweepResul
 		rec.Gauge("sweep.workers").Set(int64(workers))
 		sweepStart = time.Now()
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-goroutine scratch space: the frozen ROMDD itself is
-			// shared read-only, everything mutable is local.
-			var buf mdd.ProbBuffer
-			var localBusy time.Duration
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(points) {
-					break
-				}
-				dist := points[i].Dist
-				if dist == nil {
-					dist = opts.Dist
-				}
-				if dist == nil {
-					out[i] = SweepResult{Err: errNoDist}
-					errCnt.Inc()
-					opts.Progress.Add(1)
-					continue
-				}
-				var t0 time.Time
-				if rec != nil {
-					t0 = time.Now()
-				}
-				y, bound, err := r.yieldWith(points[i].PS, dist, &buf)
-				if rec != nil {
-					d := time.Since(t0)
-					localBusy += d
-					pointNS.Observe(int64(d))
-					pointCnt.Inc()
-					if err != nil {
-						errCnt.Inc()
-					}
-				}
-				out[i] = SweepResult{Yield: y, ErrorBound: bound, Err: err}
-				opts.Progress.Add(1)
-			}
-			busyNS.Add(int64(localBusy))
-		}()
+
+	// Group the points with a distribution by their P_i vector.
+	dists := make([]defects.Distribution, len(points))
+	vecOf := make([]int, len(points))
+	var vecs []sweepVector
+	index := map[string]int{}
+	for i, pt := range points {
+		dists[i] = pt.Dist
+		if dists[i] == nil {
+			dists[i] = opts.Dist
+		}
+		if dists[i] == nil {
+			continue
+		}
+		key := lethalityKey(pt.PS)
+		j, ok := index[key]
+		if !ok {
+			j = len(vecs)
+			index[key] = j
+			var v sweepVector
+			v.pprime, v.pl, v.err = r.lethality(pt.PS)
+			vecs = append(vecs, v)
+		}
+		vecOf[i] = j
 	}
-	wg.Wait()
+
+	forEach(len(vecs), workers, func(j int, buf *mdd.PassBuffer) {
+		v := &vecs[j]
+		if v.err != nil {
+			return
+		}
+		var t0 time.Time
+		if rec != nil {
+			t0 = time.Now()
+		}
+		v.g, v.s, v.err = r.condVector(v.pprime, buf)
+		if rec != nil {
+			busyNS.Add(int64(time.Since(t0)))
+			passCnt.Inc()
+		}
+	})
+	forEach(len(points), workers, func(i int, _ *mdd.PassBuffer) {
+		defer opts.Progress.Add(1)
+		if dists[i] == nil {
+			out[i] = SweepResult{Err: errNoDist}
+			errCnt.Inc()
+			return
+		}
+		var t0 time.Time
+		if rec != nil {
+			t0 = time.Now()
+		}
+		v := &vecs[vecOf[i]]
+		err := v.err
+		var y, bound float64
+		if err == nil {
+			y, bound, err = r.lawYield(dists[i], v.pl, v.g, v.s)
+		}
+		out[i] = SweepResult{Yield: y, ErrorBound: bound, Err: err}
+		if rec != nil {
+			d := time.Since(t0)
+			busyNS.Add(int64(d))
+			pointNS.Observe(int64(d))
+			pointCnt.Inc()
+			if err != nil {
+				errCnt.Inc()
+			}
+		}
+	})
 	if rec != nil {
 		wall := time.Since(sweepStart)
 		if denom := wall.Nanoseconds() * int64(workers); denom > 0 {
@@ -148,6 +192,38 @@ func (r *Reevaluator) Sweep(points []SweepPoint, opts SweepOptions) []SweepResul
 		}
 	}
 	return out
+}
+
+// forEach calls fn(i, buf) for every i in [0, n) on up to workers
+// goroutines. Each goroutine owns its pass buffer; the frozen ROMDD
+// itself is shared read-only.
+func forEach(n, workers int, fn func(i int, buf *mdd.PassBuffer)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf mdd.PassBuffer
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i, &buf)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// lethalityKey identifies a P_i vector by its bits.
+func lethalityKey(ps []float64) string {
+	b := make([]byte, 8*len(ps))
+	for i, p := range ps {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(p))
+	}
+	return string(b)
 }
 
 // errNoDist reports a sweep point with no distribution anywhere.

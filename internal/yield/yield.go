@@ -269,15 +269,26 @@ func prepare(sys *System, opts Options) (*prepared, error) {
 // order given the plan's group sequence: row for w is [Q'_0..Q'_M,
 // tail], rows for each v_l are P'.
 func (p *prepared) probTable(groupSeq []int) [][]float64 {
-	wRow := make([]float64, p.m+2)
-	copy(wRow, p.qprime)
-	wRow[p.m+1] = p.tail
+	return probTable(groupSeq, p.pprime, wRow(p.qprime, p.tail))
+}
+
+// wRow is the distribution of the paper's W: [Q'_0..Q'_M, tail].
+func wRow(qprime []float64, tail float64) []float64 {
+	row := make([]float64, len(qprime)+1)
+	copy(row, qprime)
+	row[len(qprime)] = tail
+	return row
+}
+
+// probTable lays out the rows in MV-level order: w's row is wRow,
+// every v_l's row is pprime.
+func probTable(groupSeq []int, pprime, wRow []float64) [][]float64 {
 	out := make([][]float64, len(groupSeq))
 	for mvLevel, gi := range groupSeq {
 		if gi == 0 {
 			out[mvLevel] = wRow
 		} else {
-			out[mvLevel] = p.pprime
+			out[mvLevel] = pprime
 		}
 	}
 	return out
@@ -600,13 +611,36 @@ const maxBruteForceComponents = 20
 // Evaluate, so it validates everything downstream of the distribution
 // arithmetic.
 func BruteForce(sys *System, opts Options) (*Result, error) {
-	p, err := prepare(sys, opts)
+	yk, p, err := bruteForceYk(sys, opts)
 	if err != nil {
 		return nil, err
 	}
+	yield := 0.0
+	for k, q := range p.qprime {
+		if q != 0 {
+			yield += q * yk[k]
+		}
+	}
+	g, err := encode.BuildG(sys.FaultTree, p.m)
+	if err != nil {
+		return nil, err
+	}
+	res := p.baseResult(g)
+	res.Yield = yield
+	return res, nil
+}
+
+// bruteForceYk returns Y_k, the probability that the system works
+// given exactly k lethal defects, for every k = 0..M, by one Möbius
+// transform per k, together with the prepared model.
+func bruteForceYk(sys *System, opts Options) ([]float64, *prepared, error) {
+	p, err := prepare(sys, opts)
+	if err != nil {
+		return nil, nil, err
+	}
 	c := len(sys.Components)
 	if c > maxBruteForceComponents {
-		return nil, fmt.Errorf("yield: brute force limited to %d components, system has %d", maxBruteForceComponents, c)
+		return nil, nil, fmt.Errorf("yield: brute force limited to %d components, system has %d", maxBruteForceComponents, c)
 	}
 	// subsetP[mask] = Σ_{i ∈ mask} P'_i.
 	size := 1 << c
@@ -628,16 +662,13 @@ func BruteForce(sys *System, opts Options) (*Result, error) {
 		}
 		v, err := sys.FaultTree.Eval(assign)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		functioning[mask] = !v
 	}
-	yield := 0.0
+	yk := make([]float64, p.m+1)
 	work := make([]float64, size)
-	for k := 0; k <= p.m; k++ {
-		if p.qprime[k] == 0 {
-			continue
-		}
+	for k := range yk {
 		// work[mask] = P(all k lethal defects land within mask)
 		// = subsetP[mask]^k; then the Möbius transform over the subset
 		// lattice turns it into P(failed set == mask).
@@ -651,19 +682,11 @@ func BruteForce(sys *System, opts Options) (*Result, error) {
 				}
 			}
 		}
-		yk := 0.0
 		for mask := 0; mask < size; mask++ {
 			if functioning[mask] {
-				yk += work[mask]
+				yk[k] += work[mask]
 			}
 		}
-		yield += p.qprime[k] * yk
 	}
-	g, err := encode.BuildG(sys.FaultTree, p.m)
-	if err != nil {
-		return nil, err
-	}
-	res := p.baseResult(g)
-	res.Yield = yield
-	return res, nil
+	return yk, p, nil
 }
