@@ -92,17 +92,32 @@ func main() {
 			probs[mvLevel] = pprime
 		}
 	}
-	pg1, err := mm.Prob(mroot, probs)
+	pg1, err := mm.Freeze(mroot).Prob(probs)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nP(G=1) = %.6f  ⇒  Y_M = %.6f  (error ≤ Q'_tail = %.3f)\n", pg1, 1-pg1, tail)
 
-	// Independent check: evaluate the same probability directly on the
-	// coded ROBDD (no ROMDD at all) — the two must agree exactly.
-	direct, err := convert.Prob(bm, root, spec, probs)
-	if err != nil {
-		log.Fatal(err)
+	// Independent check: G = 1 iff w ≥ 3 or F fails on the components
+	// hit by the first w defects, so summing over every (w, v1, v2)
+	// with F itself gives the same probability without any diagram.
+	enum := tail
+	for w, q := range qprime {
+		for v1, p1 := range pprime {
+			for v2, p2 := range pprime {
+				failed := make([]bool, 3)
+				for _, v := range []int{v1, v2}[:w] {
+					failed[v] = true
+				}
+				down, err := f.Eval(failed)
+				if err != nil {
+					log.Fatal(err)
+				}
+				if down {
+					enum += q * p1 * p2
+				}
+			}
+		}
 	}
-	fmt.Printf("same traversal on the coded ROBDD: P(G=1) = %.6f\n", direct)
+	fmt.Printf("same probability by enumerating F over (w, v1, v2): P(G=1) = %.6f\n", enum)
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // benchPipeline builds the coded ROBDD of a 2-of-8 threshold system
-// once, for conversion/traversal benchmarks.
+// once, for conversion benchmarks.
 func benchPipeline(b *testing.B) (*bdd.Manager, bdd.Node, Spec) {
 	b.Helper()
 	f := logic.New()
@@ -88,35 +88,6 @@ func mapToMDD(bm *bdd.Manager, root bdd.Node, mm *mdd.Manager, spec Spec) (mdd.N
 	return out, err
 }
 
-// mapProb is the map-memoized reference for Prob, the benchmark
-// baseline for the handle-indexed slice memo.
-func mapProb(bm *bdd.Manager, root bdd.Node, spec Spec, probs [][]float64) float64 {
-	memo := make(map[bdd.Node]float64)
-	var walk func(n bdd.Node) float64
-	walk = func(n bdd.Node) float64 {
-		if n == bdd.False {
-			return 0
-		}
-		if n == bdd.True {
-			return 1
-		}
-		if p, ok := memo[n]; ok {
-			return p
-		}
-		g := spec.LevelGroup[bm.Level(n)]
-		total := 0.0
-		for val, p := range probs[g] {
-			if p == 0 {
-				continue
-			}
-			total += p * walk(simulate(bm, &spec, n, g, val, nil))
-		}
-		memo[n] = total
-		return total
-	}
-	return walk(root)
-}
-
 // BenchmarkToMDDMemo compares the handle-indexed slice memo of ToMDD
 // against the map memo it replaced.
 func BenchmarkToMDDMemo(b *testing.B) {
@@ -145,42 +116,6 @@ func BenchmarkToMDDMemo(b *testing.B) {
 	})
 }
 
-// BenchmarkProbMemo compares the slice-memoized coded-ROBDD traversal
-// against the map memo it replaced.
-func BenchmarkProbMemo(b *testing.B) {
-	bm, root, spec := benchPipeline(b)
-	probs := make([][]float64, len(spec.Domains))
-	for g, d := range spec.Domains {
-		row := make([]float64, d)
-		for v := range row {
-			row[v] = 1 / float64(d)
-		}
-		probs[g] = row
-	}
-	want, err := Prob(bm, root, spec, probs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("slice", func(b *testing.B) {
-		for b.Loop() {
-			p, err := Prob(bm, root, spec, probs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if p != want {
-				b.Fatalf("p = %v, want %v", p, want)
-			}
-		}
-	})
-	b.Run("map", func(b *testing.B) {
-		for b.Loop() {
-			if p := mapProb(bm, root, spec, probs); p != want {
-				b.Fatalf("p = %v, want %v", p, want)
-			}
-		}
-	})
-}
-
 // BenchmarkToMDD measures the coded-ROBDD → ROMDD layer conversion.
 func BenchmarkToMDD(b *testing.B) {
 	bm, root, spec := benchPipeline(b)
@@ -192,29 +127,6 @@ func BenchmarkToMDD(b *testing.B) {
 		}
 		if _, err := ToMDD(bm, root, mm, spec); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkProbOnCodedROBDD measures the direct group-walk traversal.
-func BenchmarkProbOnCodedROBDD(b *testing.B) {
-	bm, root, spec := benchPipeline(b)
-	probs := make([][]float64, len(spec.Domains))
-	for g, d := range spec.Domains {
-		row := make([]float64, d)
-		for v := range row {
-			row[v] = 1 / float64(d)
-		}
-		probs[g] = row
-	}
-	b.ResetTimer()
-	for b.Loop() {
-		p, err := Prob(bm, root, spec, probs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if p < 0 || p > 1 {
-			b.Fatalf("p = %v", p)
 		}
 	}
 }

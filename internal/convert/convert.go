@@ -1,6 +1,5 @@
 // Package convert turns a coded ROBDD into the ROMDD the yield method
-// needs (Section 2 of the paper) and, as a validation path, evaluates
-// probabilities directly on the coded ROBDD.
+// needs (Section 2 of the paper).
 //
 // The conversion follows the paper's procedure: the coded ROBDD is
 // viewed as a stack of layers, one per multiple-valued variable, each
@@ -202,57 +201,6 @@ func ToMDDWithStats(bm *bdd.Manager, root bdd.Node, mm *mdd.Manager, spec Spec, 
 		return mdd.False, err
 	}
 	return out, nil
-}
-
-// Prob evaluates P(f = 1) directly on the coded ROBDD, walking bit
-// groups with the same simulation as ToMDD: probs[mvLevel][value] is
-// the probability of each multiple-valued value. This must agree
-// exactly with converting to an ROMDD and calling mdd.Prob — the
-// validation triangle used by the tests — and also serves as a
-// baseline showing the ROMDD is not required for the probability
-// computation itself, only more efficient when reused.
-func Prob(bm *bdd.Manager, root bdd.Node, spec Spec, probs [][]float64) (float64, error) {
-	if err := spec.Validate(); err != nil {
-		return 0, err
-	}
-	if len(spec.LevelGroup) != bm.NumVars() {
-		return 0, fmt.Errorf("convert: spec covers %d binary levels, manager has %d", len(spec.LevelGroup), bm.NumVars())
-	}
-	if len(probs) != len(spec.Domains) {
-		return 0, fmt.Errorf("convert: probability table has %d rows, want %d", len(probs), len(spec.Domains))
-	}
-	for g, row := range probs {
-		if len(row) != spec.Domains[g] {
-			return 0, fmt.Errorf("convert: probability row %d has %d entries, want %d", g, len(row), spec.Domains[g])
-		}
-	}
-	// Handle-indexed memo, same pattern as ToMDDWithStats.
-	memo := make([]float64, bm.NodeBound())
-	seen := make([]bool, bm.NodeBound())
-	var walk func(n bdd.Node) float64
-	walk = func(n bdd.Node) float64 {
-		if n == bdd.False {
-			return 0
-		}
-		if n == bdd.True {
-			return 1
-		}
-		if seen[n] {
-			return memo[n]
-		}
-		g := spec.LevelGroup[bm.Level(n)]
-		total := 0.0
-		for val, p := range probs[g] {
-			if p == 0 {
-				continue
-			}
-			total += p * walk(simulate(bm, &spec, n, g, val, nil))
-		}
-		memo[n] = total
-		seen[n] = true
-		return total
-	}
-	return walk(root), nil
 }
 
 // SpecFromPlanLevels builds a Spec from the per-ordinal level map and

@@ -130,9 +130,9 @@ func TestToMDDMatchesNetlistAllOrderings(t *testing.T) {
 }
 
 func TestProbTriangle(t *testing.T) {
-	// The three evaluators must agree: enumeration over the G netlist,
-	// direct walk of the coded ROBDD, and mdd.Prob on the converted
-	// ROMDD.
+	// The converted ROMDD must carry the G netlist's truth: its frozen
+	// probability pass equals the exhaustive expectation over the
+	// netlist.
 	f := fig2FaultTree()
 	p := buildPipeline(t, f, 2, order.MVWeight, order.BitML)
 	// W: Q'_0..Q'_2 and tail; V: component distribution.
@@ -159,24 +159,17 @@ func TestProbTriangle(t *testing.T) {
 			want += prob
 		}
 	})
-	got, err := Prob(p.bm, p.root, p.spec, probs)
-	if err != nil {
-		t.Fatalf("Prob: %v", err)
-	}
-	if math.Abs(got-want) > 1e-14 {
-		t.Errorf("coded-ROBDD Prob = %v, want %v", got, want)
-	}
 	mm := mdd.MustNew(p.spec.Domains)
 	root, err := ToMDD(p.bm, p.root, mm, p.spec)
 	if err != nil {
 		t.Fatalf("ToMDD: %v", err)
 	}
-	got2, err := mm.Prob(root, probs)
+	got, err := mm.Freeze(root).Prob(probs)
 	if err != nil {
-		t.Fatalf("mdd.Prob: %v", err)
+		t.Fatalf("Frozen.Prob: %v", err)
 	}
-	if math.Abs(got2-want) > 1e-14 {
-		t.Errorf("ROMDD Prob = %v, want %v", got2, want)
+	if math.Abs(got-want) > 1e-14 {
+		t.Errorf("ROMDD Prob = %v, want %v", got, want)
 	}
 }
 
@@ -313,21 +306,6 @@ func TestToMDDTerminalRoots(t *testing.T) {
 	}
 }
 
-func TestProbValidation(t *testing.T) {
-	f := fig2FaultTree()
-	p := buildPipeline(t, f, 1, order.MVWV, order.BitML)
-	if _, err := Prob(p.bm, p.root, p.spec, [][]float64{{1}}); err == nil {
-		t.Error("short prob table accepted")
-	}
-	bad := make([][]float64, len(p.spec.Domains))
-	for i, d := range p.spec.Domains {
-		bad[i] = make([]float64, d+1)
-	}
-	if _, err := Prob(p.bm, p.root, p.spec, bad); err == nil {
-		t.Error("wrong row width accepted")
-	}
-}
-
 // randomMonotoneFaultTree returns a random monotone fault tree over c
 // components (realistic structure functions are monotone).
 func randomMonotoneFaultTree(rng *rand.Rand, c int) *logic.Netlist {
@@ -350,8 +328,8 @@ func randomMonotoneFaultTree(rng *rand.Rand, c int) *logic.Netlist {
 }
 
 // Property: for random fault trees, orderings and distributions, the
-// ROMDD probability equals both the coded-ROBDD walk and exhaustive
-// enumeration.
+// converted ROMDD agrees with the G netlist on every assignment, and
+// its probability equals exhaustive enumeration over the netlist.
 func TestQuickConversionTriangle(t *testing.T) {
 	mvKinds := []order.MVKind{order.MVWV, order.MVWVR, order.MVVW, order.MVVRW, order.MVTopology, order.MVWeight, order.MVH4}
 	check := func(seed int64) bool {
@@ -408,6 +386,11 @@ func TestQuickConversionTriangle(t *testing.T) {
 		for mvLevel, gi := range plan.GroupSeq {
 			probs[mvLevel] = natural[gi]
 		}
+		mm := mdd.MustNew(spec.Domains)
+		mroot, err := ToMDD(bm, root, mm, spec)
+		if err != nil {
+			return false
+		}
 		want := 0.0
 		okEnum := true
 		forAllMVNatural(c, m, func(mv []int) {
@@ -418,6 +401,10 @@ func TestQuickConversionTriangle(t *testing.T) {
 			}
 			v, err := g.Netlist.Eval(bin)
 			if err != nil {
+				okEnum = false
+				return
+			}
+			if mv, err := mm.Eval(mroot, mvToMDDAssign(plan, mv)); err != nil || mv != v {
 				okEnum = false
 				return
 			}
@@ -432,17 +419,8 @@ func TestQuickConversionTriangle(t *testing.T) {
 		if !okEnum {
 			return false
 		}
-		p1, err := Prob(bm, root, spec, probs)
-		if err != nil || math.Abs(p1-want) > 1e-12 {
-			return false
-		}
-		mm := mdd.MustNew(spec.Domains)
-		mroot, err := ToMDD(bm, root, mm, spec)
-		if err != nil {
-			return false
-		}
-		p2, err := mm.Prob(mroot, probs)
-		return err == nil && math.Abs(p2-want) < 1e-12
+		got, err := mm.Freeze(mroot).Prob(probs)
+		return err == nil && math.Abs(got-want) < 1e-12
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

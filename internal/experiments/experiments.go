@@ -440,7 +440,9 @@ func AblationDirectMDD(cases []Case, cfg Config) ([]AblationRow, error) {
 		} else {
 			row.DirectTime = time.Since(start)
 			row.SizesAgree = direct.ROMDDSize == viaCoded.ROMDDSize
-			row.YieldsAgree = abs(direct.Yield-viaCoded.Yield) < 1e-9
+			// Both routes end in the same evaluation of the same
+			// canonical ROMDD, so their yields are the same bits.
+			row.YieldsAgree = direct.Yield == viaCoded.Yield
 		}
 		return row, nil
 	})

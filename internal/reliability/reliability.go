@@ -314,22 +314,12 @@ func Curve(sys *yield.System, opts Options, times []float64) (*Result, error) {
 	}
 	domains := gfun.Domains()
 
-	// One traversal per time point; memoized on (node), probabilities
-	// of field bits fixed per t.
-	sorted := append([]float64(nil), times...)
-	sort.Float64s(sorted)
-	for _, t := range sorted {
-		unrel := make([]float64, c)
-		for i, lt := range opts.Lifetimes {
-			u := lt.Unreliability(t)
-			if u < 0 || u > 1 || math.IsNaN(u) {
-				return nil, fmt.Errorf("reliability: lifetime %d returned %v at t=%v", i, u, t)
-			}
-			unrel[i] = u
-		}
+	// failProb is one traversal of the ROBDD, memoized on (node), with
+	// field bit i failed with probability unrel[i]: it is 1 − R at
+	// those unreliabilities.
+	failProb := func(unrel []float64) float64 {
 		// Handle-indexed memo (the ROBDD is read-only here, so handle
-		// values are bounded by NodeBound) — same map-free pattern as
-		// convert.Prob.
+		// values are bounded by NodeBound).
 		memo := make([]float64, bm.NodeBound())
 		seen := make([]bool, bm.NodeBound())
 		var walk func(n bdd.Node) float64
@@ -370,19 +360,25 @@ func Curve(sys *yield.System, opts Options, times []float64) (*Result, error) {
 			seen[n] = true
 			return total
 		}
-		rel := 1 - walk(root)
+		return walk(root)
+	}
+
+	// One traversal per time point.
+	sorted := append([]float64(nil), times...)
+	sort.Float64s(sorted)
+	for _, t := range sorted {
+		unrel := make([]float64, c)
+		for i, lt := range opts.Lifetimes {
+			u := lt.Unreliability(t)
+			if u < 0 || u > 1 || math.IsNaN(u) {
+				return nil, fmt.Errorf("reliability: lifetime %d returned %v at t=%v", i, u, t)
+			}
+			unrel[i] = u
+		}
+		rel := 1 - failProb(unrel)
 		res.Points = append(res.Points, Point{T: t, Reliability: rel, ErrorBound: tail})
 	}
-	res.YieldAtZero = res.Points[0].Reliability
-	if sorted[0] != 0 {
-		// Recompute R(0) = yield for the caller's convenience.
-		y, err := yield.Evaluate(sys, yield.Options{
-			Defects: opts.Defects, Epsilon: eps, MVOrder: mv, BitOrder: bits,
-			NodeLimit: opts.NodeLimit, ForceM: m, ForceMSet: true,
-		})
-		if err == nil {
-			res.YieldAtZero = y.Yield
-		}
-	}
+	// R(0) = Y_M: the traversal with no field failures.
+	res.YieldAtZero = 1 - failProb(make([]float64, c))
 	return res, nil
 }

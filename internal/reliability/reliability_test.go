@@ -121,22 +121,25 @@ func TestCurveMatchesEnumeration(t *testing.T) {
 func TestCurveAtZeroEqualsYield(t *testing.T) {
 	sys := tmr(0.2, 0.15, 0.15)
 	dist, _ := defects.NewNegativeBinomial(2, 2)
-	res, err := Curve(sys, Options{
-		Defects: dist, Epsilon: 5e-3,
-		Lifetimes: expLifetimes(0.1, 0.1, 0.1),
-	}, []float64{0})
-	if err != nil {
-		t.Fatalf("Curve: %v", err)
-	}
 	y, err := yield.Evaluate(sys, yield.Options{Defects: dist, Epsilon: 5e-3})
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
-	if math.Abs(res.Points[0].Reliability-y.Yield) > 1e-12 {
-		t.Errorf("R(0) = %v, yield = %v", res.Points[0].Reliability, y.Yield)
-	}
-	if math.Abs(res.YieldAtZero-y.Yield) > 1e-12 {
-		t.Errorf("YieldAtZero = %v, yield = %v", res.YieldAtZero, y.Yield)
+	// YieldAtZero is R(0) whether or not 0 is among the time points.
+	for _, times := range [][]float64{{0}, {1, 2}} {
+		res, err := Curve(sys, Options{
+			Defects: dist, Epsilon: 5e-3,
+			Lifetimes: expLifetimes(0.1, 0.1, 0.1),
+		}, times)
+		if err != nil {
+			t.Fatalf("times %v: Curve: %v", times, err)
+		}
+		if times[0] == 0 && math.Abs(res.Points[0].Reliability-y.Yield) > 1e-12 {
+			t.Errorf("R(0) = %v, yield = %v", res.Points[0].Reliability, y.Yield)
+		}
+		if math.Abs(res.YieldAtZero-y.Yield) > 1e-12 {
+			t.Errorf("times %v: YieldAtZero = %v, yield = %v", times, res.YieldAtZero, y.Yield)
+		}
 	}
 }
 

@@ -109,6 +109,14 @@ func TestEvaluateBitIdenticalToLibrary(t *testing.T) {
 			opts: yield.Options{Defects: mustHierarchical(t, 1.5, 2, 3), Epsilon: 1e-4},
 		},
 		{
+			// W at the bottom of the order: the split pass and a plain
+			// forward pass round differently there.
+			name: "bench MS2 vw",
+			body: `{"bench": "MS2", "defects": {"lambda": 2, "alpha": 2}, "epsilon": 5e-3, "mv_order": "vw"}`,
+			sys:  func() (*yield.System, error) { return benchmarks.ByName("MS2") },
+			opts: yield.Options{Defects: mustNB(t, 2, 2), Epsilon: 5e-3, MVOrder: order.MVVW},
+		},
+		{
 			name: "ftdsl TMR multilevel",
 			body: fmt.Sprintf(`{"ftdsl": %q, "defects": {"dist": "multilevel", "lambda": 1, "alphas": [2, 3]}, "epsilon": 1e-4}`, tmrFTDSL),
 			sys:  func() (*yield.System, error) { return ftdsl.Parse(tmrFTDSL) },

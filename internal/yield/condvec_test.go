@@ -98,7 +98,7 @@ func TestConditionalVectorOracle(t *testing.T) {
 			t.Errorf("%s: entry M+1 = %.17g, want 1", name, g[m+1]+s)
 		}
 
-		old := 1 - forwardProb(r.frozen.Data(), p.probTable(r.groupSeq))
+		old := 1 - forwardProb(r.frozen.Data(), probTable(r.groupSeq, p.pprime, wRow(p.qprime, p.tail)))
 		if r.wLevel == 0 {
 			if r.Result.Yield != old {
 				t.Errorf("%s: yield %.17g, forward pass %.17g", name, r.Result.Yield, old)

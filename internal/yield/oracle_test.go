@@ -82,21 +82,25 @@ func randomDistribution(rng *rand.Rand) defects.Distribution {
 	}
 }
 
-// TestOracleDifferential compares the full ROMDD pipeline against the
-// exact-enumeration oracle on randomized fault trees across defect
-// families, orderings and ε. The oracle shares only the model
-// preparation and the G synthesis with the pipeline (and exhaustively
-// cross-checks the synthesis against the raw fault tree on every
-// assignment), so agreement here certifies the ordering, compilation,
-// conversion and traversal stages end to end.
-func TestOracleDifferential(t *testing.T) {
+// oracleCase is one randomized system of the oracle differential.
+type oracleCase struct {
+	name string
+	sys  *System
+	opts Options
+}
+
+// differentialCases draws the randomized fault trees of the oracle
+// differential: 50 (12 under -short) systems with defect families,
+// orderings and ε drawn from one fixed seed.
+func differentialCases() []oracleCase {
 	rng := rand.New(rand.NewSource(20030622))
 	mvKinds := []order.MVKind{order.MVWeight, order.MVWV, order.MVVW, order.MVTopology, order.MVH4}
 	trees := 50
 	if testing.Short() {
 		trees = 12
 	}
-	for i := 0; i < trees; i++ {
+	cases := make([]oracleCase, trees)
+	for i := range cases {
 		c := 3 + rng.Intn(4) // 3..6 components
 		sys := randomOracleSystem(rng, c)
 		dist := randomDistribution(rng)
@@ -107,7 +111,21 @@ func TestOracleDifferential(t *testing.T) {
 			MVOrder: mvKinds[rng.Intn(len(mvKinds))],
 		}
 		name := fmt.Sprintf("tree %d (C=%d, %v, ε=%g, mv=%v)", i, c, dist, eps, opts.MVOrder)
+		cases[i] = oracleCase{name: name, sys: sys, opts: opts}
+	}
+	return cases
+}
 
+// TestOracleDifferential compares the full ROMDD pipeline against the
+// exact-enumeration oracle on randomized fault trees across defect
+// families, orderings and ε. The oracle shares only the model
+// preparation and the G synthesis with the pipeline (and exhaustively
+// cross-checks the synthesis against the raw fault tree on every
+// assignment), so agreement here certifies the ordering, compilation,
+// conversion and traversal stages end to end.
+func TestOracleDifferential(t *testing.T) {
+	for i, tc := range differentialCases() {
+		name, sys, opts := tc.name, tc.sys, tc.opts
 		exact, err := ExactYield(sys, opts)
 		if err != nil {
 			t.Fatalf("%s: ExactYield: %v", name, err)
@@ -125,22 +143,53 @@ func TestOracleDifferential(t *testing.T) {
 		if got.Yield < 0 || got.Yield > 1 {
 			t.Errorf("%s: yield %v outside [0,1]", name, got.Yield)
 		}
-		// Every fourth tree, check the secondary evaluation routes and
-		// the small-system inclusion–exclusion reference too.
+		// Every fourth tree, check the small-system inclusion–exclusion
+		// reference too.
 		if i%4 == 0 {
-			onBDD, err := EvaluateOnCodedROBDD(sys, opts)
-			if err != nil {
-				t.Fatalf("%s: EvaluateOnCodedROBDD: %v", name, err)
-			}
-			if diff := math.Abs(onBDD.Yield - exact.Yield); diff > 1e-12 {
-				t.Errorf("%s: coded-ROBDD walk yield %.17g, oracle %.17g (diff %.3g)", name, onBDD.Yield, exact.Yield, diff)
-			}
 			bf, err := BruteForce(sys, opts)
 			if err != nil {
 				t.Fatalf("%s: BruteForce: %v", name, err)
 			}
 			if diff := math.Abs(bf.Yield - exact.Yield); diff > 1e-11 {
 				t.Errorf("%s: inclusion–exclusion yield %.17g, oracle %.17g (diff %.3g)", name, bf.Yield, exact.Yield, diff)
+			}
+		}
+	}
+}
+
+// TestOneAnswerEveryOrdering runs the differential's trees under every
+// MV ordering: Evaluate, NewReevaluator, Reevaluator.Yield at the
+// build's own model and the direct-MDD route must return the same
+// yield bits, wherever W sits in the order.
+func TestOneAnswerEveryOrdering(t *testing.T) {
+	for _, tc := range differentialCases() {
+		ps := make([]float64, len(tc.sys.Components))
+		for j, comp := range tc.sys.Components {
+			ps[j] = comp.P
+		}
+		for _, mv := range allMVKinds {
+			opts := tc.opts
+			opts.MVOrder = mv
+			name := fmt.Sprintf("%s under %v", tc.name, mv)
+			ev, err := Evaluate(tc.sys, opts)
+			if err != nil {
+				t.Fatalf("%s: Evaluate: %v", name, err)
+			}
+			r, err := NewReevaluator(tc.sys, opts)
+			if err != nil {
+				t.Fatalf("%s: NewReevaluator: %v", name, err)
+			}
+			ry, _, err := r.Yield(ps, opts.Defects)
+			if err != nil {
+				t.Fatalf("%s: Reevaluator.Yield: %v", name, err)
+			}
+			direct, err := EvaluateDirectMDD(tc.sys, opts)
+			if err != nil {
+				t.Fatalf("%s: EvaluateDirectMDD: %v", name, err)
+			}
+			if ev.Yield != r.Result.Yield || ry != ev.Yield || direct.Yield != ev.Yield {
+				t.Errorf("%s: Evaluate %.17g, NewReevaluator %.17g, Reevaluator.Yield %.17g, direct MDD %.17g",
+					name, ev.Yield, r.Result.Yield, ry, direct.Yield)
 			}
 		}
 	}

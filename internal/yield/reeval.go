@@ -60,18 +60,31 @@ func newReevaluator(sys *System, m int, frozen *mdd.Frozen, groupSeq []int, res 
 // counters are retained in Result (and stream into Options.Recorder
 // when set).
 func NewReevaluator(sys *System, opts Options) (*Reevaluator, error) {
+	r, _, err := buildReevaluator("reevaluator-build", sys, opts)
+	return r, err
+}
+
+// buildReevaluator is the one build-and-evaluate path of Evaluate and
+// NewReevaluator: it runs the one-time build under a root span named
+// span, freezes the ROMDD and fills the default model's yield by
+// evaluateFrozen, then publishes the Result. On failure it returns a
+// nil Reevaluator and, unpublished, the Result filled so far (nil
+// unless compile or convert failed) for the caller to decide.
+func buildReevaluator(span string, sys *System, opts Options) (*Reevaluator, *Result, error) {
 	rec := opts.Recorder
 	bs := opts.BuildState
-	// As in Evaluate: publisher start/stop stays outside the root span.
+	// The publisher starts (and its stop handshake runs) outside the
+	// root span, so live publishing does not eat into the inter-phase
+	// budget the span-coverage tests bound.
 	stopLive := startLivePublisher(rec, bs)
 	defer stopLive()
-	buildSpan := rec.Span("reevaluator-build")
-	defer buildSpan.End()
+	rootSpan := rec.Span(span)
+	defer rootSpan.End()
 	defer bs.Finish()
 
-	md, err := build(buildSpan, sys, opts)
+	md, err := build(rootSpan, sys, opts)
 	if err != nil {
-		return nil, err
+		return nil, md.res, err
 	}
 	res := md.res
 
@@ -79,22 +92,33 @@ func NewReevaluator(sys *System, opts Options) (*Reevaluator, error) {
 	// (with its construction hash tables) becomes garbage, and every
 	// later evaluation is a goroutine-safe linear pass.
 	bs.StartPhase(obs.BuildEval, 0)
-	sp := buildSpan.Child("eval")
+	sp := rootSpan.Child("eval")
 	t0 := time.Now()
-	r := newReevaluator(sys, md.p.m, md.mm.Freeze(md.root), md.plan.GroupSeq, res)
-	// Fill the default model's yield by the path every reevaluation
-	// takes.
-	g, s, err := r.condVector(md.p.pprime, nil)
+	r, err := evaluateFrozen(sys, md.p, md.mm.Freeze(md.root), md.plan.GroupSeq, res)
 	res.Phases.Eval = time.Since(t0)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res.Yield = yieldOf(wRow(md.p.qprime, md.p.tail), g, s)
 	// Publishing is bookkeeping after the build, outside the root span.
-	buildSpan.End()
+	rootSpan.End()
 	res.Stats.publish(rec)
 	publishResult(rec, res)
+	return r, res, nil
+}
+
+// evaluateFrozen wraps a frozen ROMDD, whose MV levels follow
+// groupSeq, in a Reevaluator and fills res.Yield for the prepared
+// model by the path every reevaluation takes: the pass split at W,
+// folded with the W row. Every build route ends here, so all of them
+// give the same yield bits for the same diagram.
+func evaluateFrozen(sys *System, p *prepared, frozen *mdd.Frozen, groupSeq []int, res *Result) (*Reevaluator, error) {
+	r := newReevaluator(sys, p.m, frozen, groupSeq, res)
+	g, s, err := r.condVector(p.pprime, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.Yield = yieldOf(wRow(p.qprime, p.tail), g, s)
 	return r, nil
 }
 

@@ -7,13 +7,13 @@
 //  4. order the variables (heuristics of Section 2),
 //  5. compile the coded ROBDD of G gate by gate,
 //  6. convert it to the ROMDD,
-//  7. evaluate P(G = 1) by the probability-weighted depth-first
-//     traversal, giving Y_M = 1 − P(G = 1) with Y_M ≤ Y ≤ Y_M + ε.
+//  7. evaluate P(G = 1) by the probability-weighted traversal of the
+//     frozen ROMDD, giving Y_M = 1 − P(G = 1) with Y_M ≤ Y ≤ Y_M + ε.
 //
-// Alternative evaluation routes (direct walk of the coded ROBDD, and
-// direct ROMDD construction via MDD apply — the ablation of the
-// coded-ROBDD consensus claim) and an exact brute-force reference for
-// small systems are provided alongside.
+// An alternative build route (direct ROMDD construction via MDD apply
+// — the ablation of the coded-ROBDD consensus claim), which ends in
+// the same evaluation, and an exact brute-force reference for small
+// systems are provided alongside.
 package yield
 
 import (
@@ -23,8 +23,6 @@ import (
 	"time"
 
 	"socyield/internal/bdd"
-	"socyield/internal/compile"
-	"socyield/internal/convert"
 	"socyield/internal/defects"
 	"socyield/internal/encode"
 	"socyield/internal/logic"
@@ -265,13 +263,6 @@ func prepare(sys *System, opts Options) (*prepared, error) {
 	return &prepared{opts: o, pprime: pprime, qprime: qprime, tail: tail, m: m, pl: pl, lethal: lethal}, nil
 }
 
-// probTable builds the per-MV-level value distributions in MV-level
-// order given the plan's group sequence: row for w is [Q'_0..Q'_M,
-// tail], rows for each v_l are P'.
-func (p *prepared) probTable(groupSeq []int) [][]float64 {
-	return probTable(groupSeq, p.pprime, wRow(p.qprime, p.tail))
-}
-
 // wRow is the distribution of the paper's W: [Q'_0..Q'_M, tail].
 func wRow(qprime []float64, tail float64) []float64 {
 	row := make([]float64, len(qprime)+1)
@@ -322,112 +313,31 @@ func groupMeta(g *encode.GFunc) (groupOf []int, bitOf []uint) {
 
 // Evaluate runs the full method of the paper and returns the yield
 // estimate with its error bound and the structural statistics of
-// Table 4. When Options.Recorder is set, the phases additionally
-// report as a span tree and the engine counters flush into the
-// registry.
+// Table 4. It is NewReevaluator's build and evaluation, so the two
+// return the same yield bits under every variable ordering. When
+// Options.Recorder is set, the phases additionally report as a span
+// tree and the engine counters flush into the registry.
+//
+// A failed compile or convert still returns (and publishes) what it
+// built, together with the error.
 func Evaluate(sys *System, opts Options) (*Result, error) {
-	rec := opts.Recorder
-	bs := opts.BuildState
-	// The publisher starts (and its stop handshake runs) outside the
-	// root span, so live publishing does not eat into the inter-phase
-	// budget the span-coverage tests bound.
-	stopLive := startLivePublisher(rec, bs)
-	defer stopLive()
-	evalSpan := rec.Span("evaluate")
-	defer evalSpan.End()
-	defer bs.Finish()
-
-	// Publishing is bookkeeping after the run, outside the root span.
-	publish := func(res *Result) {
-		evalSpan.End()
-		res.Stats.publish(rec)
-		publishResult(rec, res)
+	_, res, err := buildReevaluator("evaluate", sys, opts)
+	if err != nil && res != nil {
+		// Publishing is bookkeeping after the run, outside the root
+		// span.
+		res.Stats.publish(opts.Recorder)
+		publishResult(opts.Recorder, res)
 	}
-
-	md, err := build(evalSpan, sys, opts)
-	if err != nil {
-		if md.res != nil {
-			// A failed compile or convert still reports what it built.
-			publish(md.res)
-			return md.res, err
-		}
-		return nil, err
-	}
-	res := md.res
-	bs.StartPhase(obs.BuildEval, 0)
-	sp := evalSpan.Child("eval")
-	t0 := time.Now()
-	pg1, err := md.mm.Prob(md.root, md.p.probTable(md.plan.GroupSeq))
-	res.Phases.Eval = time.Since(t0)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.Yield = 1 - pg1
-	publish(res)
-	return res, nil
-}
-
-// EvaluateOnCodedROBDD computes the same estimate without ever
-// building the ROMDD, by walking bit groups directly on the coded
-// ROBDD. It exists as an internal validation route and as the
-// conversion-ablation baseline.
-func EvaluateOnCodedROBDD(sys *System, opts Options) (*Result, error) {
-	t0 := time.Now()
-	p, err := prepare(sys, opts)
-	prepDur := time.Since(t0)
-	if err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	g, err := encode.BuildG(sys.FaultTree, p.m)
-	encDur := time.Since(t0)
-	if err != nil {
-		return nil, err
-	}
-	res := p.baseResult(g)
-	res.Phases.Prepare = prepDur
-	res.Phases.Encode = encDur
-	t0 = time.Now()
-	plan, err := order.Assemble(g.Netlist, g.Groups, p.opts.MVOrder, p.opts.BitOrder)
-	res.Phases.Order = time.Since(t0)
-	if err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	bm := bdd.New(g.Netlist.NumInputs(), bdd.WithNodeLimit(p.opts.NodeLimit))
-	root, err := compile.Netlist(bm, g.Netlist, plan.BinaryLevels)
-	res.Phases.Compile = time.Since(t0)
-	res.Stats.BDD = bm.Stats()
-	res.Stats.CompilePeakLive = bm.ResetPeakLive()
-	res.ROBDDPeak = res.Stats.CompilePeakLive
-	if err != nil {
-		return res, fmt.Errorf("yield: compiling coded ROBDD: %w", err)
-	}
-	res.CodedROBDDSize = bm.Size(root)
-	groupOf, bitOf := groupMeta(g)
-	spec, err := convert.SpecFromPlanLevels(plan.BinaryLevels, groupOf, bitOf, plan.GroupSeq, g.Domains())
-	if err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	pg1, err := convert.Prob(bm, root, spec, p.probTable(plan.GroupSeq))
-	if err != nil {
-		return nil, err
-	}
-	res.Phases.Eval = time.Since(t0)
-	res.Stats.ConvertPeakLive = bm.PeakLive()
-	res.ROBDDPeak = max(res.ROBDDPeak, res.Stats.ConvertPeakLive)
-	res.Yield = 1 - pg1
-	return res, nil
+	return res, err
 }
 
 // EvaluateDirectMDD builds the ROMDD of G directly with MDD apply
 // operations (the route of the ROMDD packages [23, 29] the paper
-// argues against) and evaluates on it. For a given MV ordering the
-// resulting canonical ROMDD is identical to the converted one; what
-// differs is the cost of construction — the quantity the ablation
-// benchmark measures.
+// argues against) and evaluates it as Evaluate does. For a given MV
+// ordering the resulting canonical ROMDD freezes to the same snapshot
+// as the converted one, so the yields are the same bits; what differs
+// is the cost of construction — the quantity the ablation benchmark
+// measures.
 func EvaluateDirectMDD(sys *System, opts Options) (*Result, error) {
 	t0 := time.Now()
 	p, err := prepare(sys, opts)
@@ -462,12 +372,10 @@ func EvaluateDirectMDD(sys *System, opts Options) (*Result, error) {
 	res.Stats.MDD = mm.BuildStats()
 	res.ROMDDSize = mm.Size(mroot)
 	t0 = time.Now()
-	pg1, err := mm.Prob(mroot, p.probTable(plan.GroupSeq))
-	if err != nil {
+	if _, err := evaluateFrozen(sys, p, mm.Freeze(mroot), plan.GroupSeq, res); err != nil {
 		return nil, err
 	}
 	res.Phases.Eval = time.Since(t0)
-	res.Yield = 1 - pg1
 	return res, nil
 }
 

@@ -133,10 +133,6 @@ func TestAllRoutesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
-	b, err := EvaluateOnCodedROBDD(sys, opts)
-	if err != nil {
-		t.Fatalf("EvaluateOnCodedROBDD: %v", err)
-	}
 	c, err := EvaluateDirectMDD(sys, opts)
 	if err != nil {
 		t.Fatalf("EvaluateDirectMDD: %v", err)
@@ -145,18 +141,21 @@ func TestAllRoutesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BruteForce: %v", err)
 	}
-	for name, r := range map[string]*Result{"coded": b, "direct-mdd": c, "brute": d} {
-		if math.Abs(r.Yield-a.Yield) > 1e-10 {
-			t.Errorf("%s route yield %v differs from main %v", name, r.Yield, a.Yield)
-		}
+	// Both build routes end in the same evaluation of the same
+	// canonical ROMDD, so they agree to the bit.
+	if c.Yield != a.Yield {
+		t.Errorf("direct-mdd route yield %.17g differs from main %.17g", c.Yield, a.Yield)
+	}
+	if math.Abs(d.Yield-a.Yield) > 1e-10 {
+		t.Errorf("brute route yield %v differs from main %v", d.Yield, a.Yield)
 	}
 	// Canonical ROMDD: the direct-MDD route must build the identical
 	// diagram, hence the identical node count.
 	if a.ROMDDSize != c.ROMDDSize {
 		t.Errorf("converted ROMDD size %d != directly built %d (canonicity violated)", a.ROMDDSize, c.ROMDDSize)
 	}
-	if a.CodedROBDDSize != b.CodedROBDDSize || a.ROBDDPeak <= 0 {
-		t.Errorf("ROBDD stats inconsistent: %d/%d, peak %d", a.CodedROBDDSize, b.CodedROBDDSize, a.ROBDDPeak)
+	if a.CodedROBDDSize <= 0 || a.ROBDDPeak <= 0 {
+		t.Errorf("ROBDD stats inconsistent: size %d, peak %d", a.CodedROBDDSize, a.ROBDDPeak)
 	}
 }
 
