@@ -66,7 +66,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stats := mm.ComputeStats(mroot)
+	frozen := mm.Freeze(mroot)
+	stats := frozen.ComputeStats()
 	fmt.Printf("ROMDD: %d nodes (%d internal; per level v1=%d v2=%d w=%d)\n",
 		stats.Nodes, stats.Nodes-2, stats.PerLevel[0], stats.PerLevel[1], stats.PerLevel[2])
 
@@ -92,7 +93,7 @@ func main() {
 			probs[mvLevel] = pprime
 		}
 	}
-	pg1, err := mm.Freeze(mroot).Prob(probs)
+	pg1, err := frozen.Prob(probs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -51,71 +51,6 @@ func benchPipeline(b *testing.B) (*bdd.Manager, bdd.Node, Spec) {
 	return bm, root, spec
 }
 
-// mapToMDD is the pre-overhaul reference conversion, memoized with a
-// map[bdd.Node]mdd.Node instead of the handle-indexed slices ToMDD
-// uses now. It exists only as the benchmark baseline.
-func mapToMDD(bm *bdd.Manager, root bdd.Node, mm *mdd.Manager, spec Spec) (mdd.Node, error) {
-	memo := make(map[bdd.Node]mdd.Node)
-	var err error
-	var conv func(n bdd.Node) mdd.Node
-	conv = func(n bdd.Node) mdd.Node {
-		if err != nil || n == bdd.False {
-			return mdd.False
-		}
-		if n == bdd.True {
-			return mdd.True
-		}
-		if r, ok := memo[n]; ok {
-			return r
-		}
-		g := spec.LevelGroup[bm.Level(n)]
-		kids := make([]mdd.Node, spec.Domains[g])
-		for val := range kids {
-			kids[val] = conv(simulate(bm, &spec, n, g, val, nil))
-			if err != nil {
-				return mdd.False
-			}
-		}
-		r, mkErr := mm.MkNode(g, kids)
-		if mkErr != nil {
-			err = mkErr
-			return mdd.False
-		}
-		memo[n] = r
-		return r
-	}
-	out := conv(root)
-	return out, err
-}
-
-// BenchmarkToMDDMemo compares the handle-indexed slice memo of ToMDD
-// against the map memo it replaced.
-func BenchmarkToMDDMemo(b *testing.B) {
-	bm, root, spec := benchPipeline(b)
-	b.Run("slice", func(b *testing.B) {
-		for b.Loop() {
-			mm, err := mdd.New(spec.Domains)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ToMDD(bm, root, mm, spec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("map", func(b *testing.B) {
-		for b.Loop() {
-			mm, err := mdd.New(spec.Domains)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := mapToMDD(bm, root, mm, spec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkToMDD measures the coded-ROBDD → ROMDD layer conversion.
 func BenchmarkToMDD(b *testing.B) {
 	bm, root, spec := benchPipeline(b)

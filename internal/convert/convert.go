@@ -4,14 +4,16 @@
 // The conversion follows the paper's procedure: the coded ROBDD is
 // viewed as a stack of layers, one per multiple-valued variable, each
 // containing the nodes of the binary variables encoding that variable.
-// For every entry node of a layer and every value of the variable's
-// domain, the value's codeword is "simulated" through the layer's bit
-// levels to find the node reached below, and the corresponding ROMDD
-// node is created through the unique table. The paper processes layers
-// bottom-up and prunes nodes reachable only through out-of-domain
-// codewords afterwards; this implementation runs the same computation
-// as a memoized depth-first recursion over entry nodes, which visits
-// exactly the entry nodes the bottom-up pass would keep after pruning.
+// For every entry node of a layer, the node reached below the layer by
+// each value's codeword is found, and the corresponding ROMDD node is
+// created through the unique table. The paper simulates the codewords
+// one value at a time; here one codeword walk per entry node branches
+// through the layer's bit levels once and finds the nodes of all
+// values together. The paper processes layers bottom-up and prunes
+// nodes reachable only through out-of-domain codewords afterwards;
+// this implementation runs the same computation as a memoized
+// depth-first recursion over entry nodes, which visits exactly the
+// entry nodes the bottom-up pass would keep after pruning.
 package convert
 
 import (
@@ -19,6 +21,7 @@ import (
 
 	"socyield/internal/bdd"
 	"socyield/internal/mdd"
+	"socyield/internal/obs"
 )
 
 // Spec describes how the coded ROBDD's binary levels map onto the
@@ -84,33 +87,15 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// simulate walks from n through the binary levels of MV group g,
-// following the bits of value, and returns the first node outside the
-// layer (an entry node of a lower layer or a terminal) — the paper's
-// n_{s_i}. When steps is non-nil it accumulates the number of binary
-// nodes traversed.
-func simulate(bm *bdd.Manager, s *Spec, n bdd.Node, g int, value int, steps *int64) bdd.Node {
-	for !bm.IsTerminal(n) && s.LevelGroup[bm.Level(n)] == g {
-		if steps != nil {
-			*steps++
-		}
-		if value&(1<<s.LevelBit[bm.Level(n)]) != 0 {
-			n = bm.Hi(n)
-		} else {
-			n = bm.Lo(n)
-		}
-	}
-	return n
-}
-
 // Stats instruments one coded-ROBDD → ROMDD conversion: how much work
 // each layer (multiple-valued variable) of the coded ROBDD required.
 type Stats struct {
 	// EntryNodes[mvLevel] is the number of distinct layer-entry nodes
 	// converted at that MV level — the paper's per-layer node front.
 	EntryNodes []int64
-	// SimSteps is the total number of binary-node steps taken by the
-	// codeword simulations across all layers.
+	// SimSteps is the number of binary nodes the codeword walks visit:
+	// each entry node's walk through its layer counts every node it
+	// branches at, once per value prefix that reaches it.
 	SimSteps int64
 }
 
@@ -122,7 +107,8 @@ func ToMDD(bm *bdd.Manager, root bdd.Node, mm *mdd.Manager, spec Spec) (mdd.Node
 }
 
 // ToMDDWithStats is ToMDD recording per-layer conversion statistics
-// into st when st is non-nil. The conversion itself is identical.
+// into st when st is non-nil; st is reset first. The conversion itself
+// is identical.
 func ToMDDWithStats(bm *bdd.Manager, root bdd.Node, mm *mdd.Manager, spec Spec, st *Stats, opts ...Option) (mdd.Node, error) {
 	cfg := applyOptions(opts)
 	if err := spec.Validate(); err != nil {
@@ -139,68 +125,199 @@ func ToMDDWithStats(bm *bdd.Manager, root bdd.Node, mm *mdd.Manager, spec Spec, 
 			return mdd.False, fmt.Errorf("convert: MDD domain %d is %d, spec wants %d", g, mm.Domain(g), d)
 		}
 	}
-	var steps *int64
 	if st != nil {
-		st.EntryNodes = make([]int64, len(spec.Domains))
-		steps = &st.SimSteps
+		*st = Stats{EntryNodes: make([]int64, len(spec.Domains))}
 	}
+	c := newConverter(bm, &spec, st, cfg.state)
+	entries, kids := c.size(root)
+	// The sizing walk bounds the conversion from above: an entry node
+	// reached only through out-of-domain codewords is counted but never
+	// converted. One reservation therefore holds the whole ROMDD.
+	cfg.state.SetTotal(entries)
+	mm.Reserve(int(entries), int(kids))
+	var out mdd.Node
+	err := mm.Build(func(mk func(int, []mdd.Node) mdd.Node) {
+		c.mk = mk
+		out = c.conv(root)
+	})
+	if err != nil {
+		return mdd.False, err
+	}
+	// Trim the total to the entry nodes actually converted, so a
+	// finished conversion reports done == total.
+	cfg.state.SetTotal(c.done)
+	return out, nil
+}
+
+// converter holds the state of one conversion.
+type converter struct {
+	bm   *bdd.Manager
+	spec *Spec
+	st   *Stats
+	bs   *obs.BuildState
+	mk   func(int, []mdd.Node) mdd.Node
+	// MV level g's layer is the binary levels start[g]..end[g]-1.
+	start, end []int
+	// rest[lv] has the bit of every level from lv to the end of lv's
+	// layer set: the bits a codeword walk at lv has not decided yet.
+	rest []int
 	// Map-free memoization: the coded ROBDD is read-only during the
 	// conversion, so handle values are bounded by NodeBound at entry and
 	// a flat slice indexed by handle replaces the hash map. The key is
 	// the full handle (complement bit included): a node and its
 	// complement denote different functions and convert independently.
 	// memo holds the ROMDD node plus one, so zero means not yet seen.
-	memo := make([]mdd.Node, bm.NodeBound())
-	// One child buffer per MV level serves every entry node of that
-	// level: a conversion only recurses into deeper levels, so a
-	// level's buffer is free again by the time the next of its entry
-	// nodes starts, and MkNode copies the children it keeps.
-	bufs := make([][]mdd.Node, len(spec.Domains))
-	for g, d := range spec.Domains {
-		bufs[g] = make([]mdd.Node, d)
+	memo []mdd.Node
+	// One target and one child buffer per MV level serve every entry
+	// node of that level: a conversion only recurses into deeper
+	// levels, so a level's buffers are free again by the time the next
+	// of its entry nodes starts, and mk copies the children it keeps.
+	targets [][]bdd.Node
+	kids    [][]mdd.Node
+	done    int64
+}
+
+func newConverter(bm *bdd.Manager, spec *Spec, st *Stats, bs *obs.BuildState) *converter {
+	c := &converter{
+		bm:      bm,
+		spec:    spec,
+		st:      st,
+		bs:      bs,
+		start:   make([]int, len(spec.Domains)),
+		end:     make([]int, len(spec.Domains)),
+		memo:    make([]mdd.Node, bm.NodeBound()),
+		targets: make([][]bdd.Node, len(spec.Domains)),
+		kids:    make([][]mdd.Node, len(spec.Domains)),
 	}
-	var err error
-	var conv func(n bdd.Node) mdd.Node
-	conv = func(n bdd.Node) mdd.Node {
-		if err != nil {
-			return mdd.False
+	c.rest = make([]int, len(spec.LevelGroup))
+	for lv := len(spec.LevelGroup) - 1; lv >= 0; lv-- {
+		g := spec.LevelGroup[lv]
+		c.rest[lv] = 1 << spec.LevelBit[lv]
+		if c.end[g] == 0 {
+			c.end[g] = lv + 1
+		} else {
+			c.rest[lv] |= c.rest[lv+1]
 		}
-		if n == bdd.False {
-			return mdd.False
-		}
-		if n == bdd.True {
-			return mdd.True
-		}
-		if r := memo[n]; r != 0 {
-			return r - 1
-		}
-		g := spec.LevelGroup[bm.Level(n)]
-		if st != nil {
-			st.EntryNodes[g]++
-		}
-		// Entry nodes are discovered as they convert, so the total is
-		// unknown; progress still counts nodes done.
-		cfg.state.Add(1)
-		kids := bufs[g]
-		for val := range kids {
-			kids[val] = conv(simulate(bm, &spec, n, g, val, steps))
-			if err != nil {
-				return mdd.False
+		c.start[g] = lv
+	}
+	for g, d := range spec.Domains {
+		c.targets[g] = make([]bdd.Node, d)
+		c.kids[g] = make([]mdd.Node, d)
+	}
+	return c
+}
+
+// group returns the MV level of a non-terminal handle.
+func (c *converter) group(n bdd.Node) int { return c.spec.LevelGroup[c.bm.Level(n)] }
+
+// size walks the coded ROBDD below root once and returns the number of
+// entry handles — the root and every child whose MV level differs from
+// its parent's — and the sum of their domain sizes: bounds on the
+// ROMDD's node and child counts.
+func (c *converter) size(root bdd.Node) (entries, kids int64) {
+	if c.bm.IsTerminal(root) {
+		return 0, 0
+	}
+	words := (len(c.memo) + 63) / 64
+	seen, entry := make([]uint64, words), make([]uint64, words)
+	var walk func(n bdd.Node)
+	walk = func(n bdd.Node) {
+		seen[n/64] |= 1 << (n % 64)
+		g := c.group(n)
+		for _, k := range [2]bdd.Node{c.bm.Lo(n), c.bm.Hi(n)} {
+			if c.bm.IsTerminal(k) {
+				continue
+			}
+			if kg := c.group(k); kg != g && entry[k/64]&(1<<(k%64)) == 0 {
+				entry[k/64] |= 1 << (k % 64)
+				entries++
+				kids += int64(c.spec.Domains[kg])
+			}
+			if seen[k/64]&(1<<(k%64)) == 0 {
+				walk(k)
 			}
 		}
-		r, mkErr := mm.MkNode(g, kids)
-		if mkErr != nil {
-			err = mkErr
-			return mdd.False
+	}
+	walk(root)
+	return entries + 1, kids + int64(c.spec.Domains[c.group(root)])
+}
+
+// conv converts the coded ROBDD below handle n, memoized per handle.
+func (c *converter) conv(n bdd.Node) mdd.Node {
+	if n == bdd.False {
+		return mdd.False
+	}
+	if n == bdd.True {
+		return mdd.True
+	}
+	if r := c.memo[n]; r != 0 {
+		return r - 1
+	}
+	g := c.group(n)
+	if c.st != nil {
+		c.st.EntryNodes[g]++
+	}
+	c.done++
+	c.bs.Add(1)
+	tg, kids := c.targets[g], c.kids[g]
+	c.walk(n, c.start[g], 0, len(tg), c.end[g], tg)
+	// Converting the targets in value order creates the ROMDD nodes in
+	// the post-order Freeze numbers them in, so Freeze can adopt the
+	// arena as is. Runs of equal targets convert once.
+	prev, r := bdd.Node(-1), mdd.False
+	for v, t := range tg {
+		if t != prev {
+			prev, r = t, c.conv(t)
 		}
-		memo[n] = r + 1
-		return r
+		kids[v] = r
 	}
-	out := conv(root)
-	if err != nil {
-		return mdd.False, err
+	r = c.mk(g, kids)
+	c.memo[n] = r + 1
+	return r
+}
+
+// walk is the codeword walk of one entry node: it follows every value
+// prefix through the binary levels lv..end-1 of a layer in BDD order,
+// val holding the bits decided so far, and records in tg[v] the node
+// each value v < d reaches below the layer — the paper's n_{s_i}. A
+// level n tests branches to its lo (bit 0) and hi (bit 1) child; a
+// level n skips branches both bit values on n itself. A prefix with
+// val ≥ d is pruned: the undecided bits are 0 in its smallest
+// completion, so every value it leads to is out of the domain.
+func (c *converter) walk(n bdd.Node, lv int, val, d, end int, tg []bdd.Node) {
+	for ; lv < end; lv++ {
+		if val >= d {
+			return
+		}
+		// A terminal's level is NumVars, below every layer.
+		nl := c.bm.Level(n)
+		if nl >= end {
+			break
+		}
+		bit := 1 << c.spec.LevelBit[lv]
+		if nl == lv {
+			if c.st != nil {
+				c.st.SimSteps++
+			}
+			c.walk(c.bm.Hi(n), lv+1, val|bit, d, end, tg)
+			n = c.bm.Lo(n)
+		} else {
+			c.walk(n, lv+1, val|bit, d, end, tg)
+		}
 	}
-	return out, nil
+	// n lies below the layer, so every completion of val over the
+	// undecided bits reaches it. They are enumerated in increasing
+	// order, which ends at the first one outside the domain.
+	rest := 0
+	if lv < end {
+		rest = c.rest[lv]
+	}
+	for sub := 0; val|sub < d; sub = (sub - rest) & rest {
+		tg[val|sub] = n
+		if sub == rest {
+			break
+		}
+	}
 }
 
 // SpecFromPlanLevels builds a Spec from the per-ordinal level map and

@@ -189,7 +189,7 @@ func TestToMDDPrunesUnusedCodewords(t *testing.T) {
 	if sz := mm.Size(root); sz < 4 || sz > 40 {
 		t.Errorf("Fig2-style ROMDD size = %d, outside sane bounds", sz)
 	}
-	st := mm.ComputeStats(root)
+	st := mm.Freeze(root).ComputeStats()
 	for lv, cnt := range st.PerLevel {
 		if cnt < 0 {
 			t.Errorf("level %d count %d", lv, cnt)

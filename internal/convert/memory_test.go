@@ -141,3 +141,21 @@ func TestFreezeAdoptsSerialConversion(t *testing.T) {
 		}
 	}
 }
+
+// TestToMDDSizesArenaExactly checks that on the benchmark systems the
+// sizing walk counts exactly the ROMDD the conversion builds: the
+// reserved node and child arrays end up full, never regrown.
+func TestToMDDSizesArenaExactly(t *testing.T) {
+	for _, name := range []string{"MS2", "ESEN4x1"} {
+		bm, root, spec := codedROBDD(t, name, 4)
+		mm := mdd.MustNew(spec.Domains)
+		mroot, err := convert.ToMDD(bm, root, mm, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kids := mm.Freeze(mroot).Data().Kids
+		if cap(mm.Kids(2)) != len(kids) {
+			t.Errorf("%s: child arena holds %d entries, the ROMDD uses %d", name, cap(mm.Kids(2)), len(kids))
+		}
+	}
+}

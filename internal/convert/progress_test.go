@@ -1,6 +1,8 @@
 package convert
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"socyield/internal/mdd"
@@ -21,13 +23,78 @@ func TestConvertReportsProgress(t *testing.T) {
 		t.Fatalf("ToMDDWithStats: %v", err)
 	}
 	snap := bs.Snapshot()
-	// The converter learns entry counts as it recurses, so the total
-	// stays unknown, but every entry node is counted as done.
+	// The sizing walk publishes the total before the first entry node
+	// converts; once the conversion ends it is the count converted.
 	var entries int64
 	for _, n := range st.EntryNodes {
 		entries += int64(n)
 	}
-	if snap.PhaseDone != entries {
-		t.Errorf("done = %d, want the %d entry nodes", snap.PhaseDone, entries)
+	if snap.PhaseTotal != entries || snap.PhaseDone != entries {
+		t.Errorf("total = %d, done = %d, want both the %d entry nodes", snap.PhaseTotal, snap.PhaseDone, entries)
+	}
+}
+
+// TestStatsResetPerConversion checks that a Stats reused across
+// conversions reports the last one alone.
+func TestStatsResetPerConversion(t *testing.T) {
+	p := buildPipeline(t, fig2FaultTree(), 3, order.MVWeight, order.BitLM)
+	var first, st Stats
+	for i := range 2 {
+		mm, err := mdd.New(p.spec.Domains)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ToMDDWithStats(p.bm, p.root, mm, p.spec, &st); err != nil {
+			t.Fatalf("ToMDDWithStats: %v", err)
+		}
+		if i == 0 {
+			first = st
+			first.EntryNodes = slices.Clone(st.EntryNodes)
+		}
+	}
+	if st.SimSteps == 0 || st.SimSteps != first.SimSteps || !slices.Equal(st.EntryNodes, first.EntryNodes) {
+		t.Errorf("second conversion reports %d steps and entry nodes %v, first %d and %v",
+			st.SimSteps, st.EntryNodes, first.SimSteps, first.EntryNodes)
+	}
+}
+
+// TestSizeBoundsConversion checks that the sizing walk bounds the
+// entry nodes and child entries of the conversion from above under
+// every MV×bit ordering, and that the conversion fits in the arena it
+// reserves.
+func TestSizeBoundsConversion(t *testing.T) {
+	for _, mv := range []order.MVKind{order.MVWV, order.MVWVR, order.MVVW, order.MVVRW, order.MVWeight} {
+		for _, bits := range []order.BitKind{order.BitML, order.BitLM} {
+			p := buildPipeline(t, fig2FaultTree(), 3, mv, bits)
+			mm := mdd.MustNew(p.spec.Domains)
+			var st Stats
+			root, err := ToMDDWithStats(p.bm, p.root, mm, p.spec, &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, kids := newConverter(p.bm, &p.spec, nil, nil).size(p.root)
+			var converted int64
+			for _, n := range st.EntryNodes {
+				converted += n
+			}
+			f := mm.Freeze(root)
+			if converted > entries || int64(len(f.Data().Kids)) > kids {
+				t.Errorf("%v/%v: sized %d entries and %d children, converted %d and %d",
+					mv, bits, entries, kids, converted, len(f.Data().Kids))
+			}
+			if cap(mm.Kids(2)) != int(kids) {
+				t.Errorf("%v/%v: child arena holds %d entries, reserved %d", mv, bits, cap(mm.Kids(2)), kids)
+			}
+		}
+	}
+}
+
+// TestToMDDNodeLimit checks that an ROMDD node limit aborts the
+// conversion with mdd.ErrNodeLimit.
+func TestToMDDNodeLimit(t *testing.T) {
+	p := buildPipeline(t, fig2FaultTree(), 3, order.MVWeight, order.BitML)
+	mm := mdd.MustNew(p.spec.Domains, mdd.WithNodeLimit(4))
+	if _, err := ToMDD(p.bm, p.root, mm, p.spec); !errors.Is(err, mdd.ErrNodeLimit) {
+		t.Errorf("err = %v, want mdd.ErrNodeLimit", err)
 	}
 }

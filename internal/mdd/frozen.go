@@ -457,7 +457,7 @@ func (f *Frozen) Eval(assign []int) (bool, error) {
 }
 
 // ComputeStats returns the structural statistics of the frozen
-// diagram, matching Manager.ComputeStats on the original root.
+// diagram, read off its arrays by one linear scan.
 func (f *Frozen) ComputeStats() Stats {
 	s := Stats{PerLevel: make([]int, len(f.domains))}
 	edges := 0

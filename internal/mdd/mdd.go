@@ -15,7 +15,7 @@
 //
 // Construction (MkNode, And, Or, Xor, Not, Literal*) mutates the
 // manager and must be serialized by the caller. Read-only operations
-// (Size, Eval, ComputeStats, DOT, Kid, Kids, Level) allocate any
+// (Size, Eval, DOT, Kid, Kids, Level) allocate any
 // scratch state per call, so once construction is finished any number
 // of goroutines may run them concurrently on the same manager.
 // Probabilities are computed only on an immutable compact snapshot
@@ -26,7 +26,6 @@ package mdd
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -277,6 +276,45 @@ func (m *Manager) MkNode(level int, kids []Node) (Node, error) {
 		out = m.mk(int32(level), kids)
 	}()
 	return out, err
+}
+
+// Reserve makes room for nodes more nodes holding kids more child
+// entries in all: the arena grows to exactly that size and the unique
+// table to the size it would reach, so inserting that many nodes
+// neither reallocates nor rehashes. Under a node limit the reservation
+// is cut to the nodes the limit still allows, and kids in proportion,
+// so the arena never grows past what the limit admits.
+func (m *Manager) Reserve(nodes, kids int) {
+	if room := m.limit - len(m.nodes); m.limit > 0 && nodes > room {
+		room = max(room, 0)
+		kids = int(int64(kids) * int64(room) / int64(nodes))
+		nodes = room
+	}
+	if need := len(m.nodes) + nodes; need > cap(m.nodes) {
+		m.nodes = append(make([]mnode, 0, need), m.nodes...)
+	}
+	if need := len(m.kids) + kids; need > cap(m.kids) {
+		m.kids = append(make([]Node, 0, need), m.kids...)
+	}
+	b := len(m.buckets)
+	for len(m.nodes)+nodes > 2*b {
+		b *= 2
+	}
+	if b > len(m.buckets) {
+		m.resizeBuckets(b)
+	}
+}
+
+// Build runs fn, which creates nodes through mk, under one node-limit
+// guard. mk is MkNode without its per-call checks and recover: the
+// caller guarantees that kids has one entry per value of the level's
+// domain and that every child is a node of m at a deeper level. When
+// the node limit is reached, mk abandons fn and Build returns
+// ErrNodeLimit.
+func (m *Manager) Build(fn func(mk func(level int, kids []Node) Node)) (err error) {
+	defer m.guard(&err)
+	fn(func(level int, kids []Node) Node { return m.mk(int32(level), kids) })
+	return nil
 }
 
 // LiteralEq returns the boolean function [x_level == value].
@@ -548,70 +586,11 @@ func (m *Manager) dotRec(n Node, seen []bool, names []string, sb *strings.Builde
 	}
 }
 
-// Stats summarizes the diagram rooted at n.
+// Stats summarizes the structure of one rooted diagram, as
+// Frozen.ComputeStats reports it.
 type Stats struct {
 	Nodes     int // total nodes including terminals
 	PerLevel  []int
 	MaxWidth  int // widest level
 	AvgDegree float64
-}
-
-// ComputeStats returns structural statistics for the diagram rooted
-// at n.
-func (m *Manager) ComputeStats(n Node) Stats {
-	s := Stats{PerLevel: make([]int, len(m.domains))}
-	seen := make([]bool, len(m.nodes))
-	edges := 0
-	var walk func(Node)
-	var nodes int
-	walk = func(x Node) {
-		if seen[x] {
-			return
-		}
-		seen[x] = true
-		nodes++
-		if m.IsTerminal(x) {
-			return
-		}
-		lv := int(m.nodes[x].level)
-		s.PerLevel[lv]++
-		if s.PerLevel[lv] > s.MaxWidth {
-			s.MaxWidth = s.PerLevel[lv]
-		}
-		for _, k := range m.Kids(x) {
-			edges++
-			walk(k)
-		}
-	}
-	walk(n)
-	s.Nodes = nodes
-	internal := nodes
-	if n != False && n != True {
-		internal = nodes - countTerminalsReached(m, n)
-	}
-	if internal > 0 {
-		s.AvgDegree = float64(edges) / math.Max(1, float64(internal))
-	}
-	return s
-}
-
-func countTerminalsReached(m *Manager, n Node) int {
-	seen := make([]bool, len(m.nodes))
-	count := 0
-	var walk func(Node)
-	walk = func(x Node) {
-		if seen[x] {
-			return
-		}
-		seen[x] = true
-		if m.IsTerminal(x) {
-			count++
-			return
-		}
-		for _, k := range m.Kids(x) {
-			walk(k)
-		}
-	}
-	walk(n)
-	return count
 }

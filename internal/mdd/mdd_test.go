@@ -3,6 +3,7 @@ package mdd
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -302,7 +303,7 @@ func TestComputeStats(t *testing.T) {
 	a, _ := m.LiteralEq(0, 1)
 	b, _ := m.LiteralEq(1, 2)
 	and, _ := m.And(a, b)
-	s := m.ComputeStats(and)
+	s := m.Freeze(and).ComputeStats()
 	if s.Nodes != 4 {
 		t.Errorf("Nodes = %d, want 4", s.Nodes)
 	}
@@ -490,5 +491,83 @@ func TestQuickReducedness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReserveKeepsNodes checks that Reserve leaves existing nodes in
+// place and findable, and that nodes made afterwards are the ones an
+// unreserved manager makes.
+func TestReserveKeepsNodes(t *testing.T) {
+	build := func(m *Manager) []Node {
+		var out []Node
+		for lv := 0; lv < 3; lv++ {
+			a, err := m.LiteralEq(lv, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := m.LiteralGeq(lv, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, a, b)
+		}
+		return out
+	}
+	plain := MustNew([]int{3, 3, 3})
+	want := build(plain)
+	m := MustNew([]int{3, 3, 3})
+	first := build(m)
+	m.Reserve(5000, 15000)
+	if again := build(m); !slices.Equal(again, first) || !slices.Equal(first, want) {
+		t.Errorf("after Reserve the same nodes are %v, before %v, unreserved %v", again, first, want)
+	}
+	if st := m.BuildStats(); st.UniqueTableHits != int64(len(want)) {
+		t.Errorf("rebuilding after Reserve hit the unique table %d times, want %d", st.UniqueTableHits, len(want))
+	}
+}
+
+// TestBuildGuardsNodeLimit checks that Build turns an exceeded node
+// limit inside fn into ErrNodeLimit and keeps the nodes made before it.
+func TestBuildGuardsNodeLimit(t *testing.T) {
+	m := MustNew([]int{2, 2, 2}, WithNodeLimit(4))
+	var made []Node
+	err := m.Build(func(mk func(int, []Node) Node) {
+		for lv := 2; lv >= 0; lv-- {
+			made = append(made, mk(lv, []Node{False, True}))
+		}
+	})
+	if err != ErrNodeLimit {
+		t.Fatalf("err = %v, want ErrNodeLimit", err)
+	}
+	if len(made) != 2 || m.NumNodes() != 4 {
+		t.Errorf("made %v with %d nodes before the limit, want 2 and 4", made, m.NumNodes())
+	}
+	if err := MustNew([]int{2}).Build(func(mk func(int, []Node) Node) { mk(0, []Node{False, True}) }); err != nil {
+		t.Errorf("Build within the limit: %v", err)
+	}
+}
+
+// TestReserveRespectsNodeLimit checks that under a node limit Reserve
+// grows the arena only to the nodes the limit still admits, with the
+// child array cut in proportion, and not at all once the limit is
+// reached.
+func TestReserveRespectsNodeLimit(t *testing.T) {
+	m := MustNew([]int{3, 3, 3}, WithNodeLimit(10))
+	if _, err := m.LiteralEq(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	used := m.NumNodes()
+	m.Reserve(1000, 3000)
+	if cap(m.nodes) > 10 {
+		t.Errorf("node arena capacity %d after Reserve, beyond the limit 10", cap(m.nodes))
+	}
+	if want := len(m.kids) + 3000*(10-used)/1000; cap(m.kids) > want {
+		t.Errorf("child array capacity %d after Reserve, want at most %d", cap(m.kids), want)
+	}
+	full := MustNew([]int{2}, WithNodeLimit(2))
+	nodes, kids := cap(full.nodes), cap(full.kids)
+	full.Reserve(1000, 2000)
+	if cap(full.nodes) != nodes || cap(full.kids) != kids {
+		t.Errorf("Reserve at the limit grew the arena from %d/%d to %d/%d", nodes, kids, cap(full.nodes), cap(full.kids))
 	}
 }

@@ -15,19 +15,22 @@ import (
 
 // model is the outcome of the one-time build shared by Evaluate and
 // NewReevaluator: the prepared model quantities, the variable order,
-// the Result filled so far, and the ROMDD.
+// the Result filled so far, and the frozen ROMDD.
 type model struct {
-	p    *prepared
-	plan *order.Plan
-	res  *Result
-	mm   *mdd.Manager
-	root mdd.Node
+	p      *prepared
+	plan   *order.Plan
+	res    *Result
+	frozen *mdd.Frozen
 }
 
 // build runs the one-time build — preparation, G synthesis, variable
 // ordering, coded-ROBDD compilation and ROMDD conversion — one child
 // span of parent and one BuildState phase per step, filling the
-// Result's phase timings, engine statistics and structural sizes.
+// Result's phase timings, engine statistics and structural sizes. The
+// convert phase ends by freezing the ROMDD into the immutable snapshot
+// every evaluation reads (the manager, with its construction tables,
+// becomes garbage), and the ROMDD's statistics are read off that
+// snapshot by one linear scan.
 //
 // Each phase's bookkeeping (the base Result, statistics snapshots,
 // diagram sizes, the conversion spec, releasing the build tables) runs
@@ -117,13 +120,13 @@ func build(parent *obs.Span, sys *System, opts Options) (model, error) {
 	if err != nil {
 		return md, fmt.Errorf("yield: converting to ROMDD: %w", err)
 	}
-	ms := mm.ComputeStats(mroot)
+	md.frozen = mm.Freeze(mroot)
+	ms := md.frozen.ComputeStats()
 	res.ROMDDSize = ms.Nodes
 	res.Stats.ROMDDPerLevel = ms.PerLevel
 	res.Stats.ROMDDMaxWidth = ms.MaxWidth
 	if res.ROMDDSize > 0 {
 		res.Stats.ROBDDToROMDDRatio = float64(res.CodedROBDDSize) / float64(res.ROMDDSize)
 	}
-	md.mm, md.root = mm, mroot
 	return md, nil
 }

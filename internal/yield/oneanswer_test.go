@@ -68,3 +68,28 @@ func TestOneAnswerBenchmarkSystems(t *testing.T) {
 		}
 	}
 }
+
+// TestConversionLayoutBenchmarkSystems checks the conversion layout
+// (see CheckConversionLayout) on MS2, ESEN4x1 and ESEN4x2 at M = 3
+// under all 17 compatible MV×bit orderings.
+func TestConversionLayoutBenchmarkSystems(t *testing.T) {
+	dist, err := defects.NewNegativeBinomial(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range []string{"MS2", "ESEN4x1", "ESEN4x2"} {
+		sys, err := benchmarks.ByName(bench)
+		if err != nil {
+			t.Fatalf("%s: %v", bench, err)
+		}
+		for _, mv := range yield.AllMVKinds {
+			for _, bits := range yield.AllBitKinds {
+				if !order.Compatible(mv, bits) {
+					continue
+				}
+				opts := yield.Options{Defects: dist, ForceM: 3, ForceMSet: true, MVOrder: mv, BitOrder: bits}
+				yield.CheckConversionLayout(t, fmt.Sprintf("%s under %v/%v", bench, mv, bits), sys, opts)
+			}
+		}
+	}
+}

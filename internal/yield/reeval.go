@@ -66,7 +66,7 @@ func NewReevaluator(sys *System, opts Options) (*Reevaluator, error) {
 
 // buildReevaluator is the one build-and-evaluate path of Evaluate and
 // NewReevaluator: it runs the one-time build under a root span named
-// span, freezes the ROMDD and fills the default model's yield by
+// span and fills the default model's yield from the frozen ROMDD by
 // evaluateFrozen, then publishes the Result. On failure it returns a
 // nil Reevaluator and, unpublished, the Result filled so far (nil
 // unless compile or convert failed) for the caller to decide.
@@ -88,13 +88,10 @@ func buildReevaluator(span string, sys *System, opts Options) (*Reevaluator, *Re
 	}
 	res := md.res
 
-	// Freeze the ROMDD into an immutable compact snapshot: the manager
-	// (with its construction hash tables) becomes garbage, and every
-	// later evaluation is a goroutine-safe linear pass.
 	bs.StartPhase(obs.BuildEval, 0)
 	sp := rootSpan.Child("eval")
 	t0 := time.Now()
-	r, err := evaluateFrozen(sys, md.p, md.mm.Freeze(md.root), md.plan.GroupSeq, res)
+	r, err := evaluateFrozen(sys, md.p, md.frozen, md.plan.GroupSeq, res)
 	res.Phases.Eval = time.Since(t0)
 	sp.End()
 	if err != nil {

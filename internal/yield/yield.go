@@ -171,7 +171,8 @@ func (o *Options) withDefaults() (Options, error) {
 // Phases records per-phase wall-clock times, covering the pipeline end
 // to end: model preparation (thinning, truncation point), G-function
 // synthesis, variable ordering, coded-ROBDD compilation, ROMDD
-// conversion, and probability evaluation.
+// conversion (freezing the ROMDD included), and probability
+// evaluation.
 type Phases struct {
 	Prepare time.Duration
 	Encode  time.Duration
@@ -368,11 +369,12 @@ func EvaluateDirectMDD(sys *System, opts Options) (*Result, error) {
 	if err != nil {
 		return res, fmt.Errorf("yield: direct ROMDD construction: %w", err)
 	}
-	res.Phases.Convert = time.Since(t0)
 	res.Stats.MDD = mm.BuildStats()
-	res.ROMDDSize = mm.Size(mroot)
+	frozen := mm.Freeze(mroot)
+	res.ROMDDSize = frozen.Size()
+	res.Phases.Convert = time.Since(t0)
 	t0 = time.Now()
-	if _, err := evaluateFrozen(sys, p, mm.Freeze(mroot), plan.GroupSeq, res); err != nil {
+	if _, err := evaluateFrozen(sys, p, frozen, plan.GroupSeq, res); err != nil {
 		return nil, err
 	}
 	res.Phases.Eval = time.Since(t0)
