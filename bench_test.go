@@ -7,12 +7,8 @@ package socyield_test
 // EXPERIMENTS.md records a full run.
 
 import (
-	"os"
-	"runtime"
-	"sync"
 	"testing"
 
-	"socyield"
 	"socyield/internal/experiments"
 )
 
@@ -110,108 +106,6 @@ func BenchmarkAblationDirectMDD(b *testing.B) {
 			}
 		}
 	}
-}
-
-// sweepSetup builds the ESEN8x2 Reevaluator (a ~300k-node ROMDD, a few
-// seconds of construction) once for both sweep sub-benchmarks.
-var sweepSetup struct {
-	once sync.Once
-	re   *socyield.Reevaluator
-	grid []socyield.SweepPoint
-	err  error
-}
-
-// BenchmarkSweepSerialVsParallel times a 64-point batch sweep on one
-// shared ESEN8x2 ROMDD with one worker and with all cores, and checks
-// the parallel results are bit-identical to the serial ones. The 64
-// points are distinct lethality vectors (each P_i scaled by a factor
-// in [0.5, 1.5), then rescaled to the system's P_L) under one NB law,
-// so every point pays its own ROMDD pass: a law sweep at fixed P_i
-// would cost one pass in all.
-func BenchmarkSweepSerialVsParallel(b *testing.B) {
-	s := &sweepSetup
-	s.once.Do(func() {
-		var sys *socyield.System
-		if sys, s.err = socyield.ESEN(8, 2); s.err != nil {
-			return
-		}
-		var dist socyield.Distribution
-		if dist, s.err = socyield.NewNegativeBinomial(2, 3.4); s.err != nil {
-			return
-		}
-		if s.re, s.err = socyield.NewReevaluator(sys, socyield.Options{Defects: dist, Epsilon: 2e-3}); s.err != nil {
-			return
-		}
-		for j := 0; j < 64; j++ {
-			ps := make([]float64, len(sys.Components))
-			pl, sum := 0.0, 0.0
-			for i, c := range sys.Components {
-				ps[i] = c.P * (0.5 + float64((7*i+13*j)%16)/16)
-				pl += c.P
-				sum += ps[i]
-			}
-			for i := range ps {
-				ps[i] *= pl / sum
-			}
-			s.grid = append(s.grid, socyield.SweepPoint{PS: ps, Dist: dist})
-		}
-	})
-	if s.err != nil {
-		b.Fatal(s.err)
-	}
-	serial := s.re.Sweep(s.grid, socyield.SweepOptions{Workers: 1})
-	for _, r := range serial {
-		if r.Err != nil {
-			b.Fatal(r.Err)
-		}
-	}
-	b.Run("serial", func(b *testing.B) {
-		for b.Loop() {
-			s.re.Sweep(s.grid, socyield.SweepOptions{Workers: 1})
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		workers := runtime.GOMAXPROCS(0)
-		for b.Loop() {
-			res := s.re.Sweep(s.grid, socyield.SweepOptions{Workers: workers})
-			for i := range res {
-				if res[i] != serial[i] {
-					b.Fatalf("point %d: parallel %v differs from serial %v", i, res[i], serial[i])
-				}
-			}
-		}
-	})
-	// instrumented repeats the serial sweep with a live recorder — the
-	// delta against "serial" is the measured instrumentation overhead.
-	b.Run("instrumented", func(b *testing.B) {
-		rec := socyield.NewMetrics()
-		for b.Loop() {
-			s.re.Sweep(s.grid, socyield.SweepOptions{Workers: 1, Recorder: rec})
-		}
-		writeBenchMetrics(b, rec)
-	})
-}
-
-// writeBenchMetrics dumps the recorder to $SOCYIELD_BENCH_METRICS when
-// that is set — the CI benchmark-smoke job uploads the file as an
-// artifact.
-func writeBenchMetrics(b *testing.B, rec *socyield.Metrics) {
-	path := os.Getenv("SOCYIELD_BENCH_METRICS")
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		b.Fatalf("metrics dump: %v", err)
-	}
-	if err := rec.WriteJSON(f); err != nil {
-		f.Close()
-		b.Fatalf("metrics dump: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		b.Fatalf("metrics dump: %v", err)
-	}
-	b.Logf("metrics written to %s", path)
 }
 
 // BenchmarkBaselineMonteCarlo runs the simulation baseline the paper's

@@ -50,15 +50,15 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file of the run to this file (Perfetto-loadable)")
 		samplesOut = flag.String("samples-out", "", "write the sampled metrics time series as JSONL to this file (\"-\" = stdout)")
 		sampleInt  = flag.Duration("sample-interval", 0, "flight-recorder sampling interval (0 = 100ms default)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and an expvar metrics dump on this address")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address")
 	)
 	flag.Parse()
 	var rec *obs.Registry
-	if *metricsJS != "" || *pprofAddr != "" || *traceOut != "" || *samplesOut != "" {
+	if *metricsJS != "" || *traceOut != "" || *samplesOut != "" {
 		rec = obs.NewRegistry()
 	}
 	if *pprofAddr != "" {
-		cliutil.ServeDebug("experiments", *pprofAddr, rec)
+		cliutil.ServeDebug("experiments", *pprofAddr)
 	}
 	flight := cliutil.StartFlightRecorder(rec, *traceOut, *samplesOut, *sampleInt)
 	cfg := experiments.Config{Alpha: *alpha, Epsilon: *epsilon, NodeLimit: *nodeLimit, Workers: *workers, Recorder: rec, Tracer: flight.Tracer()}

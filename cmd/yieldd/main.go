@@ -31,9 +31,8 @@
 //
 // GET /healthz is a liveness probe; GET /metrics exposes the live
 // request/cache/evaluation instruments in Prometheus text format;
-// GET /metrics.json returns the same registry as a JSON snapshot;
 // GET /v1/builds lists the model builds in flight (phase, progress,
-// ETA); GET /debug/vars serves the registry through expvar.
+// ETA).
 // SIGINT/SIGTERM drain in-flight requests before exiting; with
 // -trace-out the whole lifetime is then written as a Chrome
 // trace-event file (load it at ui.perfetto.dev).
@@ -90,7 +89,6 @@ func main() {
 	}
 
 	metrics := obs.NewRegistry()
-	metrics.Publish("socyield") // live snapshot on /debug/vars
 
 	// The flight recorder samples the registry for the server's whole
 	// lifetime; the artifacts are written after the drain, so the trace

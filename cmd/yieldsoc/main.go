@@ -40,8 +40,8 @@
 // tracks and sampled counters; -samples-out FILE dumps the sampled
 // metrics time series as JSONL (-sample-interval sets the cadence);
 // -progress prints periodic completion lines for sweeps and
-// Monte-Carlo runs; -pprof ADDR serves net/http/pprof and an expvar
-// dump of the live metrics on ADDR for the duration of the run.
+// Monte-Carlo runs; -pprof ADDR serves net/http/pprof on ADDR for the
+// duration of the run.
 package main
 
 import (
@@ -157,7 +157,7 @@ func run() error {
 		samplesOut = flag.String("samples-out", "", "write the sampled metrics time series as JSONL to this file (\"-\" = stdout)")
 		sampleInt  = flag.Duration("sample-interval", 0, "flight-recorder sampling interval (0 = 100ms default)")
 		progress   = flag.Bool("progress", false, "print periodic progress lines for sweeps and Monte-Carlo runs")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and an expvar metrics dump on this address")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address")
 		saveModel  = flag.String("save-model", "", "write the compiled model to this file after the build (an existing directory stores it under <model-key>.scm, yieldd -store-dir compatible)")
 		loadModel  = flag.String("load-model", "", "load a compiled model saved by -save-model instead of building (the flags must describe the model it was compiled from)")
 	)
@@ -166,11 +166,11 @@ func run() error {
 	// One registry instruments the whole run. It is created whenever any
 	// export path wants it; a nil registry records nothing.
 	var rec *obs.Registry
-	if *metricsJS != "" || *pprofAddr != "" || *traceOut != "" || *samplesOut != "" {
+	if *metricsJS != "" || *traceOut != "" || *samplesOut != "" {
 		rec = obs.NewRegistry()
 	}
 	if *pprofAddr != "" {
-		cliutil.ServeDebug("yieldsoc", *pprofAddr, rec)
+		cliutil.ServeDebug("yieldsoc", *pprofAddr)
 	}
 	flight := cliutil.StartFlightRecorder(rec, *traceOut, *samplesOut, *sampleInt)
 

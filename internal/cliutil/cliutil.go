@@ -2,8 +2,7 @@
 // command-line tools (yieldsoc, experiments, yieldd): loading a system
 // from a benchmark name or an ftdsl file, parsing comma-separated
 // float lists, dumping a metrics registry, running the flight recorder
-// (-trace-out, -samples-out), and serving the pprof + expvar debug
-// endpoint.
+// (-trace-out, -samples-out), and serving the pprof debug endpoint.
 package cliutil
 
 import (
@@ -166,17 +165,15 @@ func writeTo(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// ServeDebug publishes rec under the expvar name "socyield" and starts
-// a background HTTP server on addr exposing /debug/pprof and
-// /debug/vars for the life of the process. Startup errors are reported
+// ServeDebug starts a background HTTP server on addr exposing
+// /debug/pprof for the life of the process. Startup errors are reported
 // to stderr (prefixed with tool), not returned: the debug endpoint is
 // an observer, never a reason to fail the run.
-func ServeDebug(tool, addr string, rec *obs.Registry) {
-	rec.Publish("socyield")
+func ServeDebug(tool, addr string) {
 	go func() {
 		if err := http.ListenAndServe(addr, nil); err != nil && err != http.ErrServerClosed {
 			fmt.Fprintf(os.Stderr, "%s: pprof server: %v\n", tool, err)
 		}
 	}()
-	fmt.Fprintf(os.Stderr, "pprof/expvar listening on http://%s/debug/pprof/ and /debug/vars\n", addr)
+	fmt.Fprintf(os.Stderr, "pprof listening on http://%s/debug/pprof/\n", addr)
 }

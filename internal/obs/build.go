@@ -48,15 +48,17 @@ func (p BuildPhase) String() string {
 
 // buildPhaseStart[p] is the phase-weighted overall progress at the
 // moment phase p begins; the weight of phase p is the distance to the
-// next entry. The weights reflect the measured cost split of large
-// builds (BENCH_5/BENCH_6: compile dominates, conversion is the
-// second-largest phase, everything else is noise): prepare 1%,
-// compile 75%, convert 22%, eval 2%.
+// next entry. The weights are the cost split of the traced ESEN8x2 +
+// MS6 builds recorded in results/bench_baseline.json, as shares of
+// their summed stage time (build.traced_s − build.residual_s), rounded
+// to whole percents: prepare (encode.s + order.s) 0.1% → 0, compile
+// (compile.s) 84.8% → 85%, convert (convert.s + mdd.freeze_s) 13.3% →
+// 13%, eval (the remaining stages) 1.8% → 2%.
 var buildPhaseStart = [...]float64{
 	BuildPending: 0,
 	BuildPrepare: 0,
-	BuildCompile: 0.01,
-	BuildConvert: 0.76,
+	BuildCompile: 0,
+	BuildConvert: 0.85,
 	BuildEval:    0.98,
 	BuildDone:    1,
 }

@@ -375,12 +375,13 @@ func TestBuildStateLifecycle(t *testing.T) {
 	if st.LiveNodes != 4242 {
 		t.Errorf("live nodes = %d", st.LiveNodes)
 	}
-	// Compile spans [0.01, 0.76); half done → 0.01 + 0.75/2.
-	if want := 0.01 + 0.75*0.5; st.Progress < want-1e-9 || st.Progress > want+1e-9 {
+	// Half of compile done: halfway between its start and convert's.
+	start, end := buildPhaseStart[BuildCompile], buildPhaseStart[BuildConvert]
+	if want := start + (end-start)*0.5; st.Progress < want-1e-9 || st.Progress > want+1e-9 {
 		t.Errorf("progress = %v, want %v", st.Progress, want)
 	}
 	if st.ETASeconds < 0 {
-		t.Errorf("ETA = %v, want an estimate at 38.5%% progress", st.ETASeconds)
+		t.Errorf("ETA = %v, want an estimate at %v progress", st.ETASeconds, st.Progress)
 	}
 
 	// StartPhase resets the per-phase counters.

@@ -2,8 +2,8 @@
 // lightweight metrics registry (atomic counters, gauges, histograms
 // with fixed log-scale buckets, and a monotonic phase timer producing a
 // span tree) that the BDD → MDD → yield phases report into, plus
-// progress reporting for long sweeps and export as JSON or through
-// expvar.
+// progress reporting for long sweeps and export as JSON or in the
+// Prometheus text format.
 //
 // # Overhead discipline
 //
@@ -29,7 +29,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"io"
 	"math"
 	"math/bits"
@@ -413,17 +412,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(append(data, '\n'))
 	return err
-}
-
-// Publish registers the registry under the given expvar name, so an
-// http server with the expvar handler (/debug/vars) exposes a live
-// snapshot. Like expvar.Publish it must be called at most once per
-// name per process. No-op on a nil registry.
-func (r *Registry) Publish(name string) {
-	if r == nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }
 
 // SortedBucketKeys returns the keys of an int64-valued metric map in

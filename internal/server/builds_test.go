@@ -83,8 +83,12 @@ func TestBuildsEndpoint(t *testing.T) {
 	if b.Status.LiveNodes != 4242 {
 		t.Errorf("live nodes = %d, want 4242", b.Status.LiveNodes)
 	}
-	// Compile spans [0.01, 0.76) of the weighted build; 40% through it.
-	if want := 0.01 + 0.75*0.4; b.Status.Progress < want-1e-9 || b.Status.Progress > want+1e-9 {
+	// The endpoint reports obs's phase-weighted progress: that of a
+	// fresh BuildState 40% through compile.
+	ref := obs.NewBuildState()
+	ref.StartPhase(obs.BuildCompile, 100)
+	ref.Add(40)
+	if want := ref.Snapshot().Progress; want <= 0 || b.Status.Progress < want-1e-9 || b.Status.Progress > want+1e-9 {
 		t.Errorf("progress = %v, want %v", b.Status.Progress, want)
 	}
 	if b.Status.ElapsedSeconds < 0 {
@@ -92,7 +96,7 @@ func TestBuildsEndpoint(t *testing.T) {
 	}
 
 	// The inflight gauge tracks the same count.
-	if snap := metricsSnapshot(t, ts); snap.Gauges["build.inflight"] != 1 {
+	if snap := s.Metrics().Snapshot(); snap.Gauges["build.inflight"] != 1 {
 		t.Errorf("build.inflight = %d, want 1", snap.Gauges["build.inflight"])
 	}
 
@@ -105,7 +109,7 @@ func TestBuildsEndpoint(t *testing.T) {
 	if list := getBuilds(t, ts); len(list.Builds) != 0 {
 		t.Errorf("finished build still listed: %+v", list.Builds)
 	}
-	if snap := metricsSnapshot(t, ts); snap.Gauges["build.inflight"] != 0 {
+	if snap := s.Metrics().Snapshot(); snap.Gauges["build.inflight"] != 0 {
 		t.Errorf("build.inflight after finish = %d, want 0", snap.Gauges["build.inflight"])
 	}
 }

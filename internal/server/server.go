@@ -22,8 +22,6 @@
 //	GET  /v1/builds     in-flight model builds (phase, progress, ETA)
 //	GET  /healthz       liveness probe
 //	GET  /metrics       Prometheus text exposition of the obs registry
-//	GET  /metrics.json  obs registry snapshot as JSON
-//	GET  /debug/vars    expvar (includes the registry when published)
 //
 // Every response carries an X-Request-Id header (client-supplied or
 // generated); the same id appears in the request log line, and
@@ -34,7 +32,6 @@ package server
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -191,8 +188,6 @@ func New(cfg Config) *Server {
 		io.WriteString(w, "ok\n")
 	})
 	s.mux.Handle("GET /metrics", rec.PrometheusHandler("socyield"))
-	s.mux.Handle("GET /metrics.json", rec.Handler())
-	s.mux.Handle("GET /debug/vars", expvar.Handler())
 	s.warmStart()
 	return s
 }
@@ -225,10 +220,6 @@ func endpointLabel(path string) string {
 		return "healthz"
 	case "/metrics":
 		return "metrics"
-	case "/metrics.json":
-		return "metrics_json"
-	case "/debug/vars":
-		return "debug_vars"
 	default:
 		return "other"
 	}

@@ -58,23 +58,6 @@ func post(t *testing.T, ts *httptest.Server, path, body string, out any) int {
 	return resp.StatusCode
 }
 
-func metricsSnapshot(t *testing.T, ts *httptest.Server) obs.Snapshot {
-	t.Helper()
-	resp, err := http.Get(ts.URL + "/metrics.json")
-	if err != nil {
-		t.Fatalf("GET /metrics.json: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics.json: status %d", resp.StatusCode)
-	}
-	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("GET /metrics.json: %v", err)
-	}
-	return snap
-}
-
 // TestEvaluateBitIdenticalToLibrary is the service's core contract:
 // the HTTP path (ModelKey → cached Reevaluator → Yield) returns the
 // exact float64 bits the library's Evaluate produces for the same
@@ -183,7 +166,7 @@ func mustMultilevel(t *testing.T, lambda float64, alphas ...float64) defects.Dis
 // TestCacheHitCounter is the acceptance check on /metrics: a repeated
 // identical request is a cache hit visible in the cache-hit counter.
 func TestCacheHitCounter(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	body := `{"bench": "MS2", "defects": {"lambda": 2, "alpha": 2}}`
 
 	var first, second EvaluateResponse
@@ -199,7 +182,7 @@ func TestCacheHitCounter(t *testing.T) {
 	if first.ModelKey == "" || first.ModelKey != second.ModelKey {
 		t.Errorf("model keys: %q vs %q", first.ModelKey, second.ModelKey)
 	}
-	snap := metricsSnapshot(t, ts)
+	snap := s.Metrics().Snapshot()
 	if snap.Counters["cache.hits"] != 1 || snap.Counters["cache.misses"] != 1 || snap.Counters["cache.builds"] != 1 {
 		t.Errorf("cache counters: hits=%d misses=%d builds=%d, want 1/1/1",
 			snap.Counters["cache.hits"], snap.Counters["cache.misses"], snap.Counters["cache.builds"])
@@ -246,7 +229,7 @@ func TestConcurrentIdenticalRequestsCompileOnce(t *testing.T) {
 				i, results[i].Yield, results[i].M, results[0].Yield, results[0].M)
 		}
 	}
-	snap := metricsSnapshot(t, ts)
+	snap := s.Metrics().Snapshot()
 	if snap.Counters["cache.builds"] != 1 {
 		t.Errorf("cache.builds=%d, want 1 (single-flight)", snap.Counters["cache.builds"])
 	}
@@ -262,7 +245,7 @@ func TestConcurrentIdenticalRequestsCompileOnce(t *testing.T) {
 // the grid point matching the base model is bit-identical to
 // /v1/evaluate for the same inputs.
 func TestSweep(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 
 	var ev EvaluateResponse
 	evBody := `{"bench": "MS2", "defects": {"lambda": 2, "alpha": 2}, "epsilon": 1e-4}`
@@ -319,7 +302,7 @@ func TestSweep(t *testing.T) {
 
 	// Every point of a λ sweep shares the lethalities, so each sweep
 	// costs one ROMDD pass, not one per point.
-	snap := metricsSnapshot(t, ts)
+	snap := s.Metrics().Snapshot()
 	if snap.Counters["sweep.passes"] != 2 || snap.Counters["sweep.points"] != 8 {
 		t.Errorf("sweep.passes=%d, sweep.points=%d; want 2 passes for 8 points",
 			snap.Counters["sweep.passes"], snap.Counters["sweep.points"])
@@ -471,7 +454,7 @@ func TestNodeLimitAndRetry(t *testing.T) {
 	if code := post(t, ts2, "/v1/evaluate", body, &e); code != http.StatusUnprocessableEntity {
 		t.Fatalf("retry: status %d, want 422", code)
 	}
-	snap := metricsSnapshot(t, ts2)
+	snap := s2.Metrics().Snapshot()
 	if snap.Counters["cache.builds"] != 2 {
 		t.Errorf("cache.builds=%d, want 2 (failed build must not be cached)", snap.Counters["cache.builds"])
 	}
@@ -501,7 +484,7 @@ func TestLRUEviction(t *testing.T) {
 	if s.cache.len() != 1 {
 		t.Errorf("cache holds %d entries, want 1", s.cache.len())
 	}
-	snap := metricsSnapshot(t, ts)
+	snap := s.Metrics().Snapshot()
 	if snap.Counters["cache.evictions"] != 2 {
 		t.Errorf("cache.evictions=%d, want 2", snap.Counters["cache.evictions"])
 	}
@@ -533,19 +516,6 @@ func TestHealthz(t *testing.T) {
 	buf.ReadFrom(resp.Body)
 	if resp.StatusCode != http.StatusOK || buf.String() != "ok\n" {
 		t.Errorf("healthz: %d %q", resp.StatusCode, buf.String())
-	}
-}
-
-func TestDebugVars(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var v map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatalf("expvar did not serve JSON: %v", err)
 	}
 }
 

@@ -65,7 +65,7 @@ func TestStoreWriteThroughAndWarmStart(t *testing.T) {
 	if first.CacheHit {
 		t.Error("cold request reported cache_hit=true")
 	}
-	snap1 := metricsSnapshot(t, ts1)
+	snap1 := reg1.Snapshot()
 	if snap1.Counters["build.compiles"] != 1 || snap1.Counters["store.puts"] != 1 || snap1.Counters["store.misses"] != 1 {
 		t.Fatalf("after cold build: compiles=%d puts=%d store_misses=%d, want 1/1/1",
 			snap1.Counters["build.compiles"], snap1.Counters["store.puts"], snap1.Counters["store.misses"])
@@ -78,7 +78,7 @@ func TestStoreWriteThroughAndWarmStart(t *testing.T) {
 	// model, so the request never leaves the in-memory tier.
 	reg2 := obs.NewRegistry()
 	_, ts2 := newTestServer(t, Config{Metrics: reg2, Store: openTestStore(t, dir, 0, reg2)})
-	if snap := metricsSnapshot(t, ts2); snap.Counters["store.warm_loads"] != 1 || snap.Counters["store.hits"] != 1 {
+	if snap := reg2.Snapshot(); snap.Counters["store.warm_loads"] != 1 || snap.Counters["store.hits"] != 1 {
 		t.Fatalf("warm start: warm_loads=%d store_hits=%d, want 1/1",
 			snap.Counters["store.warm_loads"], snap.Counters["store.hits"])
 	}
@@ -92,7 +92,7 @@ func TestStoreWriteThroughAndWarmStart(t *testing.T) {
 	if warm.Yield != first.Yield || warm.ErrorBound != first.ErrorBound || warm.M != first.M || warm.ModelKey != first.ModelKey {
 		t.Errorf("warm-started model differs: %+v vs %+v", warm, first)
 	}
-	snap2 := metricsSnapshot(t, ts2)
+	snap2 := reg2.Snapshot()
 	if snap2.Counters["build.compiles"] != 0 {
 		t.Errorf("build.compiles=%d after warm start, want 0", snap2.Counters["build.compiles"])
 	}
@@ -129,7 +129,7 @@ func TestStoreSecondTierServesLRUMiss(t *testing.T) {
 
 	reg2 := obs.NewRegistry()
 	_, ts2 := newTestServer(t, Config{CacheEntries: 1, Metrics: reg2, Store: openTestStore(t, dir, 0, reg2)})
-	if snap := metricsSnapshot(t, ts2); snap.Counters["store.warm_loads"] != 1 {
+	if snap := reg2.Snapshot(); snap.Counters["store.warm_loads"] != 1 {
 		t.Fatalf("warm_loads=%d with capacity 1, want 1", snap.Counters["store.warm_loads"])
 	}
 	// The newest model (TMR) is the one warm-started: it hits the LRU.
@@ -151,7 +151,7 @@ func TestStoreSecondTierServesLRUMiss(t *testing.T) {
 	if gotMS2.Yield != wantMS2.Yield || gotMS2.ErrorBound != wantMS2.ErrorBound || gotMS2.M != wantMS2.M {
 		t.Errorf("store-served MS2 differs: %+v vs %+v", gotMS2, wantMS2)
 	}
-	snap := metricsSnapshot(t, ts2)
+	snap := reg2.Snapshot()
 	if snap.Counters["build.compiles"] != 0 {
 		t.Errorf("build.compiles=%d, want 0: the store must satisfy the LRU miss", snap.Counters["build.compiles"])
 	}
@@ -194,7 +194,7 @@ func TestStoreCorruptionFallsBackToRebuild(t *testing.T) {
 	if got.Yield != want.Yield || got.ErrorBound != want.ErrorBound || got.M != want.M {
 		t.Errorf("rebuild after corruption differs: %+v vs %+v", got, want)
 	}
-	snap := metricsSnapshot(t, ts)
+	snap := reg.Snapshot()
 	if snap.Counters["store.decode_errors"] != 1 {
 		t.Errorf("store.decode_errors=%d, want 1", snap.Counters["store.decode_errors"])
 	}
@@ -234,7 +234,7 @@ func TestStoreWarmStartEvictsCorruptEntries(t *testing.T) {
 
 	reg2 := obs.NewRegistry()
 	_, ts2 := newTestServer(t, Config{Metrics: reg2, Store: openTestStore(t, dir, 0, reg2)})
-	snap := metricsSnapshot(t, ts2)
+	snap := reg2.Snapshot()
 	if snap.Counters["store.warm_loads"] != 0 || snap.Counters["store.decode_errors"] != 1 {
 		t.Errorf("warm start over corrupt entry: warm_loads=%d decode_errors=%d, want 0/1",
 			snap.Counters["store.warm_loads"], snap.Counters["store.decode_errors"])
@@ -282,7 +282,7 @@ func TestStoreDiskCapEviction(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, keys[1]+".scm")); err != nil {
 		t.Errorf("newest entry missing: %v", err)
 	}
-	snap := metricsSnapshot(t, ts)
+	snap := reg.Snapshot()
 	if snap.Counters["store.evictions"] != 1 {
 		t.Errorf("store.evictions=%d, want 1", snap.Counters["store.evictions"])
 	}
