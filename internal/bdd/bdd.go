@@ -24,13 +24,20 @@
 // # Operation cache
 //
 // The ITE cache starts at 4,096 entries and doubles with the unique
-// table up to maxCacheEntries (2^20 entries, 20 MiB); past that, the
+// table up to maxCacheEntries (2^20 entries, 16 MiB); past that, the
 // unique table keeps growing and the cache stays put. Nothing throws
 // the cache away: a growth rehashes every entry into the larger cache,
 // and a GC drops only the entries that name a node it freed, since
 // their slots will be reused. Release drops the cache together with
 // the unique table and the reference counts once a build's root is
 // final; only the node arena stays, for the read-only accessors.
+//
+// # Arena
+//
+// The node arena and the reference counts live in pages of 2^16 slots
+// (pageSize); slot idx is entry idx&pageMask of page idx>>pageBits. A
+// page is allocated whole when the arena first reaches it and is never
+// copied or moved, so growing the arena allocates each slot once.
 //
 // Variables are identified by their level in the fixed total order,
 // 0 .. NumVars-1; mapping from named problem variables to levels is the
@@ -80,10 +87,24 @@ const (
 	freeLevel = int32(-2)
 )
 
+// Arena pages: slot idx lives at entry idx&pageMask of page
+// idx>>pageBits. A handle holds an index below 2^30, so maxPages pages
+// cover every index.
+const (
+	pageBits = 16
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+	maxPages = 1 << (30 - pageBits)
+)
+
 // Manager owns an ROBDD arena for a fixed number of variables.
 type Manager struct {
-	nodes     []node
-	refs      []int32
+	// The page table is an array in the Manager, not a slice, so a
+	// read loads the page pointer where a flat arena would load its
+	// base, and needs no bounds check.
+	nodes     [maxPages]*[pageSize]node // arena pages, allocated once each
+	refs      []*[pageSize]int32        // reference counts, paged like nodes
+	size      int32                     // arena length: slots handed out so far
 	buckets   []int32
 	numVars   int32
 	free      int32
@@ -112,18 +133,15 @@ type Manager struct {
 	gcFreed      int64
 }
 
+// cacheEntry is one ITE cache entry. A cached f is always a regular
+// non-terminal handle, so f == 0 marks an empty entry, and a two-way
+// set fills 32 bytes.
 type cacheEntry struct {
 	f, g, h Node
 	result  Node
-	op      int32
 }
 
-const (
-	opNone int32 = 0
-	opITE  int32 = 1
-)
-
-// maxCacheEntries caps the ITE cache (2^20 entries, 20 MiB). The cache
+// maxCacheEntries caps the ITE cache (2^20 entries, 16 MiB). The cache
 // follows the unique table's size up to this cap; past it, a larger
 // cache costs more memory than its extra hits save.
 const maxCacheEntries = 1 << 20
@@ -138,16 +156,6 @@ func WithNodeLimit(n int) Option {
 	return func(m *Manager) { m.limit = n }
 }
 
-// WithInitialCapacity pre-sizes the arena.
-func WithInitialCapacity(n int) Option {
-	return func(m *Manager) {
-		if n > len(m.nodes) {
-			m.nodes = append(make([]node, 0, n), m.nodes...)
-			m.refs = append(make([]int32, 0, n), m.refs...)
-		}
-	}
-}
-
 // New creates a manager for numVars boolean variables at levels
 // 0 .. numVars-1.
 func New(numVars int, opts ...Option) *Manager {
@@ -160,8 +168,9 @@ func New(numVars int, opts ...Option) *Manager {
 	}
 	// The single terminal occupies arena slot 0. Terminal level is
 	// numVars so that every internal level compares below it.
-	m.nodes = append(m.nodes, node{level: m.numVars, next: nilIdx})
-	m.refs = append(m.refs, 1) // permanently referenced
+	m.newSlot()
+	*m.slot(0) = node{level: m.numVars, next: nilIdx}
+	*m.ref(0) = 1 // permanently referenced
 	m.live = 1
 	m.peakLive = 1
 	m.rehash(1 << 10)
@@ -202,7 +211,7 @@ func (m *Manager) GCs() int { return m.gcCount }
 // every Node handle this manager has issued (including complemented
 // handles). Callers use it to size handle-indexed scratch slices for
 // map-free memoization of traversals.
-func (m *Manager) NodeBound() int { return 2 * len(m.nodes) }
+func (m *Manager) NodeBound() int { return 2 * int(m.size) }
 
 // Stats is a point-in-time snapshot of the manager's internal
 // instrumentation: the ITE operation cache, the unique table, node
@@ -240,7 +249,7 @@ func (m *Manager) Stats() Stats {
 	return Stats{
 		Live:               m.live,
 		PeakLive:           m.peakLive,
-		ArenaNodes:         len(m.nodes),
+		ArenaNodes:         int(m.size),
 		UniqueTableBuckets: len(m.buckets),
 		UniqueTableGrowths: m.tableGrowths,
 		UniqueTableHits:    m.uniqueHits,
@@ -253,6 +262,30 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
+// slot returns the arena slot at index idx.
+func (m *Manager) slot(idx int32) *node {
+	return &m.nodes[uint32(idx)>>pageBits&(maxPages-1)][idx&pageMask]
+}
+
+// nodeOf returns the arena slot that handle n names.
+func (m *Manager) nodeOf(n Node) *node { return m.slot(int32(n >> 1)) }
+
+// ref returns the reference count of the arena slot at index idx.
+func (m *Manager) ref(idx int32) *int32 { return &m.refs[idx>>pageBits][idx&pageMask] }
+
+// newSlot appends a slot to the arena, allocating the next page when
+// the arena fills the last one, and returns its index. The slot's
+// contents are whatever the page holds; the caller fills them in.
+func (m *Manager) newSlot() int32 {
+	idx := m.size
+	if idx&pageMask == 0 {
+		m.nodes[idx>>pageBits] = new([pageSize]node)
+		m.refs = append(m.refs, new([pageSize]int32))
+	}
+	m.size++
+	return idx
+}
+
 // rehash rebuilds the unique table with n buckets, reusing the bucket
 // array when its size does not change (as after a GC).
 func (m *Manager) rehash(n int) {
@@ -262,14 +295,14 @@ func (m *Manager) rehash(n int) {
 	for i := range m.buckets {
 		m.buckets[i] = nilIdx
 	}
-	for i := 1; i < len(m.nodes); i++ {
-		nd := &m.nodes[i]
+	for i := int32(1); i < m.size; i++ {
+		nd := m.slot(i)
 		if nd.level == freeLevel {
 			continue
 		}
 		b := m.bucketOf(nd.level, nd.lo, nd.hi)
 		nd.next = m.buckets[b]
-		m.buckets[b] = int32(i)
+		m.buckets[b] = i
 	}
 }
 
@@ -293,11 +326,11 @@ func (m *Manager) resizeCache(n int) {
 	m.cacheMask = uint32(n/2 - 1)
 	for i := range old {
 		e := &old[i]
-		if e.op == opNone {
+		if e.f == 0 {
 			continue
 		}
 		set := (mix(uint32(e.f), uint32(e.g), uint32(e.h)) & m.cacheMask) * 2
-		if m.cache[set].op != opNone {
+		if m.cache[set].f != 0 {
 			set++
 		}
 		m.cache[set] = *e
@@ -333,8 +366,8 @@ func (m *Manager) mk(level int32, lo, hi Node) Node {
 		out = 1
 	}
 	b := m.bucketOf(level, lo, hi)
-	for i := m.buckets[b]; i != nilIdx; i = m.nodes[i].next {
-		nd := &m.nodes[i]
+	for i := m.buckets[b]; i != nilIdx; i = m.slot(i).next {
+		nd := m.slot(i)
 		if nd.level == level && nd.lo == lo && nd.hi == hi {
 			m.uniqueHits++
 			return Node(i<<1) | out
@@ -347,21 +380,20 @@ func (m *Manager) mk(level int32, lo, hi Node) Node {
 	var idx int32
 	if m.free != nilIdx {
 		idx = m.free
-		m.free = int32(m.nodes[idx].lo)
+		m.free = int32(m.slot(idx).lo)
 		m.freeCount--
 	} else {
-		idx = int32(len(m.nodes))
+		idx = m.newSlot()
 		// The placeholder is marked free so that a rehash below leaves
 		// it out of every chain until it is filled in.
-		m.nodes = append(m.nodes, node{level: freeLevel})
-		m.refs = append(m.refs, 0)
-		if len(m.nodes) > len(m.buckets) {
+		m.slot(idx).level = freeLevel
+		if int(m.size) > len(m.buckets) {
 			m.growTable()
 			b = m.bucketOf(level, lo, hi)
 		}
 	}
-	m.nodes[idx] = node{level: level, lo: lo, hi: hi, next: m.buckets[b]}
-	m.refs[idx] = 0
+	*m.slot(idx) = node{level: level, lo: lo, hi: hi, next: m.buckets[b]}
+	*m.ref(idx) = 0
 	m.buckets[b] = idx
 	m.nodesCreated++
 	m.live++
@@ -415,15 +447,15 @@ func (m *Manager) NVar(level int) (Node, error) {
 }
 
 // Level returns the variable level of n, or NumVars() for terminals.
-func (m *Manager) Level(n Node) int { return int(m.nodes[n>>1].level) }
+func (m *Manager) Level(n Node) int { return int(m.nodeOf(n).level) }
 
 // Lo returns the cofactor of n with its top variable set to 0,
 // resolving the handle's polarity. n must not be a terminal.
-func (m *Manager) Lo(n Node) Node { return m.nodes[n>>1].lo ^ (n & 1) }
+func (m *Manager) Lo(n Node) Node { return m.nodeOf(n).lo ^ (n & 1) }
 
 // Hi returns the cofactor of n with its top variable set to 1,
 // resolving the handle's polarity. n must not be a terminal.
-func (m *Manager) Hi(n Node) Node { return m.nodes[n>>1].hi ^ (n & 1) }
+func (m *Manager) Hi(n Node) Node { return m.nodeOf(n).hi ^ (n & 1) }
 
 // IsTerminal reports whether n is False or True.
 func (m *Manager) IsTerminal(n Node) bool { return n <= True }
@@ -435,7 +467,7 @@ func (m *Manager) IsTerminal(n Node) bool { return n <= True }
 func (m *Manager) Ref(n Node) Node {
 	m.checkBuilding()
 	if n > True {
-		m.refs[n>>1]++
+		*m.ref(int32(n >> 1))++
 	}
 	return n
 }
@@ -444,15 +476,16 @@ func (m *Manager) Ref(n Node) Node {
 func (m *Manager) Deref(n Node) {
 	m.checkBuilding()
 	if n > True {
-		if m.refs[n>>1] == 0 {
+		r := m.ref(int32(n >> 1))
+		if *r == 0 {
 			panic(fmt.Sprintf("bdd: Deref of unreferenced node %d", n))
 		}
-		m.refs[n>>1]--
+		*r--
 	}
 }
 
 func (m *Manager) cofactor(n Node, level int32) (lo, hi Node) {
-	nd := &m.nodes[n>>1]
+	nd := m.nodeOf(n)
 	if nd.level == level {
 		c := n & 1
 		return nd.lo ^ c, nd.hi ^ c
@@ -550,18 +583,18 @@ func (m *Manager) ite(f, g, h Node) Node {
 	}
 	set := (mix(uint32(f), uint32(g), uint32(h)) & m.cacheMask) * 2
 	s0, s1 := &m.cache[set], &m.cache[set+1]
-	if s0.op == opITE && s0.f == f && s0.g == g && s0.h == h {
+	if s0.f == f && s0.g == g && s0.h == h {
 		m.cacheHits++
 		return s0.result ^ out
 	}
-	if s1.op == opITE && s1.f == f && s1.g == g && s1.h == h {
+	if s1.f == f && s1.g == g && s1.h == h {
 		m.cacheHits++
 		// Promote the hit to the primary way.
 		*s0, *s1 = *s1, *s0
 		return s0.result ^ out
 	}
 	m.cacheMisses++
-	top := min3(m.nodes[f>>1].level, m.nodes[g>>1].level, m.nodes[h>>1].level)
+	top := min3(m.nodeOf(f).level, m.nodeOf(g).level, m.nodeOf(h).level)
 	f0, f1 := m.cofactor(f, top)
 	g0, g1 := m.cofactor(g, top)
 	h0, h1 := m.cofactor(h, top)
@@ -571,10 +604,10 @@ func (m *Manager) ite(f, g, h Node) Node {
 	// Insert into the primary way, demoting its previous occupant. If
 	// the recursion grew the cache, s0 and s1 point into the old array
 	// and this one entry is lost, which costs at most a recomputation.
-	if s0.op != opNone {
+	if s0.f != 0 {
 		*s1 = *s0
 	}
-	*s0 = cacheEntry{f: f, g: g, h: h, result: r, op: opITE}
+	*s0 = cacheEntry{f: f, g: g, h: h, result: r}
 	return r ^ out
 }
 
@@ -761,7 +794,7 @@ func (m *Manager) Restrict(f Node, level int, val bool) (Node, error) {
 // restrict memoizes per stored node and re-applies the handle's
 // polarity on the way out: restrict(¬f) = ¬restrict(f).
 func (m *Manager) restrict(f Node, level int32, val bool, gen int32) Node {
-	nd := &m.nodes[f>>1]
+	nd := m.nodeOf(f)
 	if nd.level > level {
 		return f
 	}
@@ -808,7 +841,7 @@ func (m *Manager) Exists(f Node, levels ...int) (Node, error) {
 func (m *Manager) Eval(f Node, assign []bool) bool {
 	for !m.IsTerminal(f) {
 		c := f & 1
-		nd := &m.nodes[f>>1]
+		nd := m.nodeOf(f)
 		if int(nd.level) < len(assign) && assign[nd.level] {
 			f = nd.hi ^ c
 		} else {
@@ -819,8 +852,8 @@ func (m *Manager) Eval(f Node, assign []bool) bool {
 }
 
 func (m *Manager) nextStamp() int32 {
-	if len(m.stamp) < len(m.nodes) {
-		m.stamp = make([]int32, len(m.nodes))
+	if len(m.stamp) < int(m.size) {
+		m.stamp = make([]int32, m.size)
 		m.stampGen = 0
 	}
 	m.stampGen++
@@ -854,7 +887,7 @@ func (m *Manager) sizeRec(idx Node, gen int32) int {
 	if idx == 0 {
 		return 1
 	}
-	nd := &m.nodes[idx]
+	nd := m.slot(int32(idx))
 	return 1 + m.sizeRec(nd.lo>>1, gen) + m.sizeRec(nd.hi>>1, gen)
 }
 
@@ -877,7 +910,7 @@ func (m *Manager) supportRec(idx Node, gen int32, seen []bool) {
 		return
 	}
 	m.stamp[idx] = gen
-	nd := &m.nodes[idx]
+	nd := m.slot(int32(idx))
 	seen[nd.level] = true
 	m.supportRec(nd.lo>>1, gen, seen)
 	m.supportRec(nd.hi>>1, gen, seen)
@@ -904,7 +937,7 @@ func (m *Manager) satFrac(f Node, gen int32) float64 {
 	case m.stamp[idx] == gen:
 		v = m.memoFrac[idx]
 	default:
-		nd := &m.nodes[idx]
+		nd := m.nodeOf(f)
 		v = 0.5*m.satFrac(nd.lo, gen) + 0.5*m.satFrac(nd.hi, gen)
 		m.stamp[idx] = gen
 		m.memoFrac[idx] = v
@@ -931,20 +964,21 @@ func (m *Manager) GC() int {
 	m.checkBuilding()
 	gen := m.nextStamp()
 	// Mark phase: roots are nodes with a positive external refcount.
-	for i := 1; i < len(m.nodes); i++ {
-		if m.refs[i] > 0 && m.nodes[i].level != freeLevel {
-			m.markRec(int32(i), gen)
+	for i := int32(1); i < m.size; i++ {
+		if *m.ref(i) > 0 && m.slot(i).level != freeLevel {
+			m.markRec(i, gen)
 		}
 	}
 	m.stamp[0] = gen
 	// Sweep phase.
 	freed := 0
-	for i := 1; i < len(m.nodes); i++ {
-		if m.nodes[i].level == freeLevel || m.stamp[i] == gen {
+	for i := int32(1); i < m.size; i++ {
+		nd := m.slot(i)
+		if nd.level == freeLevel || m.stamp[i] == gen {
 			continue
 		}
-		m.nodes[i] = node{level: freeLevel, lo: Node(m.free), next: nilIdx}
-		m.free = int32(i)
+		*nd = node{level: freeLevel, lo: Node(m.free), next: nilIdx}
+		m.free = i
 		m.freeCount++
 		freed++
 	}
@@ -956,7 +990,7 @@ func (m *Manager) GC() int {
 		// one could answer wrongly; entries over survivors stay valid.
 		for i := range m.cache {
 			e := &m.cache[i]
-			if e.op != opNone && (m.stamp[e.f>>1] != gen || m.stamp[e.g>>1] != gen ||
+			if e.f != 0 && (m.stamp[e.f>>1] != gen || m.stamp[e.g>>1] != gen ||
 				m.stamp[e.h>>1] != gen || m.stamp[e.result>>1] != gen) {
 				*e = cacheEntry{}
 			}
@@ -974,7 +1008,7 @@ func (m *Manager) markRec(idx int32, gen int32) {
 	if idx == 0 {
 		return
 	}
-	nd := &m.nodes[idx]
+	nd := m.slot(idx)
 	m.markRec(int32(nd.lo>>1), gen)
 	m.markRec(int32(nd.hi>>1), gen)
 }

@@ -315,13 +315,13 @@ func TestGCFreeSlotReuse(t *testing.T) {
 		t.Fatalf("GC did not reduce live count: %d -> %d", live, m.Live())
 	}
 	// New allocations must reuse freed slots, not grow the arena.
-	nodesBefore := len(m.nodes)
+	nodesBefore := m.size
 	c, _ := m.Var(2)
 	d, _ := m.Var(3)
 	cd, _ := m.And(c, d)
 	_ = cd
-	if len(m.nodes) != nodesBefore {
-		t.Errorf("arena grew from %d to %d despite free slots", nodesBefore, len(m.nodes))
+	if m.size != nodesBefore {
+		t.Errorf("arena grew from %d to %d despite free slots", nodesBefore, m.size)
 	}
 }
 

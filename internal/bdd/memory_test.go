@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -66,9 +67,9 @@ func checkITE(t *testing.T, m *Manager, f, g, h, r Node) {
 // chains every one of them into the bucket of its triple.
 func checkArenaCanonical(t *testing.T, m *Manager) {
 	t.Helper()
-	seen := make(map[[3]int32]int, len(m.nodes))
-	for i := 1; i < len(m.nodes); i++ {
-		nd := m.nodes[i]
+	seen := make(map[[3]int32]int32, m.size)
+	for i := int32(1); i < m.size; i++ {
+		nd := m.slot(i)
 		if nd.level == freeLevel {
 			continue
 		}
@@ -81,8 +82,8 @@ func checkArenaCanonical(t *testing.T, m *Manager) {
 		}
 		seen[key] = i
 		found := false
-		for k := m.buckets[m.bucketOf(nd.level, nd.lo, nd.hi)]; k != nilIdx; k = m.nodes[k].next {
-			if k == int32(i) {
+		for k := m.buckets[m.bucketOf(nd.level, nd.lo, nd.hi)]; k != nilIdx; k = m.slot(k).next {
+			if k == i {
 				found = true
 				break
 			}
@@ -107,6 +108,113 @@ func TestUniqueTableKeepsEveryNodeAcrossGrowth(t *testing.T) {
 	}
 }
 
+// TestArenaGrowthAllocatesEachSlotOnce grows a manager past four arena
+// pages and checks that growth allocated each slot once: everything
+// the manager allocated stays under 1.5 times the 20 bytes per slot of
+// node and reference count, plus every unique table and cache it went
+// through (each doubling, so under twice the final ones). An arena
+// that copies itself on growth allocates several times its size. The
+// test then frees slots on every full page by a collection, refills
+// them, releases the build tables and checks that every slot, on
+// either side of every page boundary, reads as it did before.
+func TestArenaGrowthAllocatesEachSlotOnce(t *testing.T) {
+	const nv = 16
+	m := New(nv)
+	rng := rand.New(rand.NewSource(5))
+	var pool [64]Node
+	for i := range pool {
+		pool[i] = mustVar(t, m, i%nv)
+	}
+	// Random ITEs over a fixed pool of recent results; nothing is
+	// referenced, so nothing is collected while the arena grows.
+	grow := func(until func() bool) {
+		for !until() {
+			f, g, h := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+			r, err := m.ITE(f, g^Node(rng.Intn(2)), h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool[rng.Intn(len(pool))] = r
+		}
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	grow(func() bool { return m.size > 4*pageSize })
+	runtime.ReadMemStats(&ms1)
+	slots := uint64(m.size)
+	tables := 2 * (uint64(len(m.buckets))*4 + uint64(len(m.cache))*16)
+	if got, limit := ms1.TotalAlloc-ms0.TotalAlloc, 3*slots*20/2+tables; got > limit {
+		t.Fatalf("growing the arena to %d slots allocated %d bytes, over %d", slots, got, limit)
+	}
+
+	// Keep the pool, collect the rest, and refill every freed slot.
+	for _, f := range pool {
+		m.Ref(f)
+	}
+	if m.GC() == 0 {
+		t.Fatal("GC freed nothing")
+	}
+	var freed [4]int
+	for i := int32(1); i < 4*pageSize; i++ {
+		if m.slot(i).level == freeLevel {
+			freed[i>>pageBits]++
+		}
+	}
+	for p, n := range freed {
+		if n == 0 {
+			t.Fatalf("GC freed no slot on page %d", p)
+		}
+	}
+	grow(func() bool { return m.freeCount == 0 })
+	for i := int32(1); i < m.size; i++ {
+		if m.slot(i).level == freeLevel {
+			t.Fatalf("slot %d on page %d is still free after the refill", i, i>>pageBits)
+		}
+	}
+	checkArenaCanonical(t, m)
+
+	type triple struct {
+		level  int
+		lo, hi Node
+	}
+	read := func() []triple {
+		out := make([]triple, m.size)
+		for i := int32(1); i < m.size; i++ {
+			h := Node(i << 1)
+			out[i] = triple{m.Level(h), m.Lo(h), m.Hi(h)}
+		}
+		return out
+	}
+	before := read()
+	crossing := 0
+	for i, tr := range before[1:] {
+		if tr.level >= m.Level(tr.lo) || tr.level >= m.Level(tr.hi) {
+			t.Fatalf("slot %d at level %d has a child at level %d or %d", i+1, tr.level, m.Level(tr.lo), m.Level(tr.hi))
+		}
+		if tr.lo>>(pageBits+1) != Node(i+1)>>pageBits || tr.hi>>(pageBits+1) != Node(i+1)>>pageBits {
+			crossing++
+		}
+	}
+	if crossing == 0 {
+		t.Fatal("no node has a child on another page")
+	}
+	sizes := make([]int, len(pool))
+	for j, f := range pool {
+		sizes[j] = m.Size(f)
+	}
+	m.Release()
+	for i, tr := range read() {
+		if tr != before[i] {
+			t.Fatalf("slot %d (page %d, entry %d) reads %+v after Release, %+v before", i, i>>pageBits, i&pageMask, tr, before[i])
+		}
+	}
+	for j, f := range pool {
+		if got := m.Size(f); got != sizes[j] {
+			t.Fatalf("pool function %d has %d nodes after Release, %d before", j, got, sizes[j])
+		}
+	}
+}
+
 // TestITECacheRehashOnGrowthIsLossless checks that growing the cache
 // keeps every entry and answers every lookup it answered before.
 func TestITECacheRehashOnGrowthIsLossless(t *testing.T) {
@@ -114,7 +222,7 @@ func TestITECacheRehashOnGrowthIsLossless(t *testing.T) {
 	fs := growFunctions(t, m, rand.New(rand.NewSource(2)), varsOf(t, m), 2)
 	var before []cacheEntry
 	for _, e := range m.cache {
-		if e.op != opNone {
+		if e.f != 0 {
 			before = append(before, e)
 		}
 	}
@@ -160,12 +268,12 @@ func TestITECacheAcrossGrowthAndGC(t *testing.T) {
 	}
 	kept := 0
 	for _, e := range m.cache {
-		if e.op == opNone {
+		if e.f == 0 {
 			continue
 		}
 		kept++
 		for _, n := range []Node{e.f, e.g, e.h, e.result} {
-			if m.nodes[n>>1].level == freeLevel {
+			if m.nodeOf(n).level == freeLevel {
 				t.Fatalf("cache entry %+v names freed node %d after GC", e, n>>1)
 			}
 		}

@@ -139,19 +139,6 @@ func TestExistsMultipleLevels(t *testing.T) {
 	}
 }
 
-func TestWithInitialCapacity(t *testing.T) {
-	m := New(4, WithInitialCapacity(1024))
-	a := mustVar(t, m, 0)
-	b := mustVar(t, m, 1)
-	ab, err := m.And(a, b)
-	if err != nil {
-		t.Fatalf("And: %v", err)
-	}
-	if !m.Eval(ab, []bool{true, true}) {
-		t.Error("semantics broken under pre-sized arena")
-	}
-}
-
 func TestNewNegativeVarsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
