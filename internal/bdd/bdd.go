@@ -32,6 +32,19 @@
 // the unique table and the reference counts once a build's root is
 // final; only the node arena stays, for the read-only accessors.
 //
+// # N-ary apply
+//
+// And and Or take any number of operands and reduce them in balanced
+// rounds of pairwise ITEs, pairing adjacent operands in the caller's
+// order; an odd operand out leads the next round. Normalization keeps
+// that order: it drops neutral terminals, returns the dominant one on
+// a dominant operand or a complementary pair, and keeps the first of
+// equal operands, detecting both on a sorted scratch copy in
+// O(k log k). The pairing, and so the cost, is the caller's choice:
+// package compile passes a gate's fan-in shallow operands first. It
+// used to follow handle order, that is arena slots, which the free
+// list hands out in an order set by earlier collections.
+//
 // # Arena
 //
 // The node arena and the reference counts live in pages of 2^16 slots
@@ -121,6 +134,7 @@ type Manager struct {
 	memoNode  []Node    // per-arena-index result memo (Restrict)
 	memoFrac  []float64 // per-arena-index result memo (SatFraction)
 	naryBuf   []Node    // operand scratch for the n-ary apply
+	naryKeys  []uint64  // sorted (handle, position) scratch for its dedupe
 	limitHit  bool
 	released  bool
 	// Instrumentation totals, maintained as plain fields because
@@ -633,10 +647,18 @@ const (
 	naryOr
 )
 
-// prepNary normalizes an operand list for the n-ary apply in place:
-// dominant and neutral terminals are resolved, duplicates collapse,
-// and a complementary pair short-circuits the whole operation. It returns the compacted list and ok=false when the
-// result is already the dominant terminal.
+// dropped marks an operand prepNary removes as a later duplicate; no
+// handle is negative.
+const dropped = Node(-1)
+
+// prepNary normalizes an operand list for the n-ary apply in place and
+// keeps the operands' order: neutral terminals drop, duplicates
+// collapse onto their first occurrence, and a dominant terminal or a
+// complementary pair short-circuits the whole operation. Duplicates
+// and complementary pairs are found on a sorted scratch copy of
+// (handle, position) keys, so detection is O(k log k) and the order of
+// the survivors is the caller's. It returns the compacted list and
+// ok=false when the result is already the dominant terminal.
 func (m *Manager) prepNary(buf []Node, op int) ([]Node, bool) {
 	neutral, dominant := Node(True), Node(False)
 	if op == naryOr {
@@ -654,23 +676,44 @@ func (m *Manager) prepNary(buf []Node, op int) ([]Node, bool) {
 		k++
 	}
 	buf = buf[:k]
-	slices.Sort(buf)
-	buf = slices.Compact(buf)
-	for i := 0; i+1 < len(buf); i++ {
-		// Sorted handles place a function next to its complement.
-		if buf[i]^buf[i+1] == 1 {
+	if len(buf) < 2 {
+		return buf, true
+	}
+	keys := m.naryKeys[:0]
+	for i, f := range buf {
+		keys = append(keys, uint64(f)<<32|uint64(i))
+	}
+	slices.Sort(keys)
+	m.naryKeys = keys
+	dups := false
+	for i := 1; i < len(keys); i++ {
+		prev, cur := Node(keys[i-1]>>32), Node(keys[i]>>32)
+		if cur == prev {
+			// Equal handles sort by position: this one is a later copy.
+			buf[uint32(keys[i])] = dropped
+			dups = true
+		} else if cur == prev^1 {
+			// Sorted handles place a function next to its complement.
 			return buf[:0], false // x ∧ ¬x = 0,  x ∨ ¬x = 1
 		}
+	}
+	if dups {
+		buf = slices.DeleteFunc(buf, func(f Node) bool { return f == dropped })
 	}
 	return buf, true
 }
 
 // applyNary conjoins (or disjoins) the operands by balanced pairwise
 // reduction through the ITE cache, renormalizing between rounds and
-// terminating early as soon as the dominant terminal appears. Compared
-// with a left fold this keeps intermediate results shallow (log-depth)
-// and lets absorbed or duplicate partial products collapse between
-// rounds — the n-ary apply used for wide gate fan-ins.
+// terminating early as soon as the dominant terminal appears. Each
+// round pairs adjacent operands in the caller's order; an odd operand
+// out leads the next round, so it meets the first pair's result
+// instead of waiting for the last round. Compared with a left fold
+// this keeps intermediate results shallow (log-depth) and lets
+// absorbed or duplicate partial products collapse between rounds — the
+// n-ary apply used for wide gate fan-ins. The pairing, and so the
+// work, depends only on the operand order: never on arena slots, which
+// the free list hands out in an order set by earlier collections.
 func (m *Manager) applyNary(fs []Node, op int) Node {
 	neutral, dominant := Node(True), Node(False)
 	if op == naryOr {
@@ -693,7 +736,15 @@ func (m *Manager) applyNary(fs []Node, op int) Node {
 			m.naryBuf = buf
 			return r
 		}
-		k := 0
+		// Results fill the list from slot k on; pair i writes no later
+		// than slot i+1, which it has already read. The odd operand
+		// out takes slot 0 once the round is done.
+		k, odd := 0, len(buf)%2 == 1
+		var last Node
+		if odd {
+			last = buf[len(buf)-1]
+			k = 1
+		}
 		for i := 0; i+1 < len(buf); i += 2 {
 			var r Node
 			if op == naryAnd {
@@ -708,9 +759,8 @@ func (m *Manager) applyNary(fs []Node, op int) Node {
 			buf[k] = r
 			k++
 		}
-		if len(buf)%2 == 1 {
-			buf[k] = buf[len(buf)-1]
-			k++
+		if odd {
+			buf[0] = last
 		}
 		buf = buf[:k]
 	}
@@ -1040,7 +1090,7 @@ func (m *Manager) MaybeGC() int {
 // converting, so the conversion does not carry the build's tables.
 func (m *Manager) Release() {
 	m.cache, m.buckets, m.refs = nil, nil, nil
-	m.stamp, m.memoNode, m.memoFrac, m.naryBuf = nil, nil, nil, nil
+	m.stamp, m.memoNode, m.memoFrac, m.naryBuf, m.naryKeys = nil, nil, nil, nil, nil
 	m.released = true
 }
 

@@ -3,6 +3,7 @@ package bdd
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -150,6 +151,9 @@ func TestITEIdentities(t *testing.T) {
 		{"And(a,a,b,1)", func() (Node, error) { return m.And(a, a, b, True) }, ab},
 		{"Or(a,0,b,a)", func() (Node, error) { return m.Or(a, False, b, a) }, r2},
 		{"Xor(a,a)", func() (Node, error) { return m.Xor(a, a) }, False},
+		{"And(¬b,a,b)", func() (Node, error) { return m.And(nb, a, b) }, False},
+		{"Or(b,a,1,¬b)", func() (Node, error) { return m.Or(b, a, True, nb) }, True},
+		{"And(b,a,b,a)", func() (Node, error) { return m.And(b, a, b, a) }, ab},
 	} {
 		got, err := c.op()
 		if err != nil {
@@ -157,6 +161,30 @@ func TestITEIdentities(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
+	// The normalized operand list keeps the caller's order and the
+	// first copy of a duplicate; nil means the dominant terminal.
+	c := mustVar(t, m, 2)
+	for _, tc := range []struct {
+		name string
+		op   int
+		in   []Node
+		want []Node
+	}{
+		{"order kept", naryAnd, []Node{c, a, b}, []Node{c, a, b}},
+		{"first duplicate kept", naryAnd, []Node{b, c, b, a, c}, []Node{b, c, a}},
+		{"neutral dropped", naryOr, []Node{c, False, a, False}, []Node{c, a}},
+		{"complementary pair at both ends", naryAnd, []Node{na, b, c, a}, nil},
+		{"complementary pair at both ends, reversed", naryOr, []Node{a, c, b, na}, nil},
+		{"dominant", naryOr, []Node{c, a, True, b}, nil},
+	} {
+		got, ok := m.prepNary(slices.Clone(tc.in), tc.op)
+		if !ok {
+			got = nil
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("prepNary %s: %v → %v, want %v", tc.name, tc.in, got, tc.want)
 		}
 	}
 }

@@ -10,7 +10,10 @@
 package compile
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"socyield/internal/bdd"
@@ -32,13 +35,16 @@ func Netlist(m *bdd.Manager, n *logic.Netlist, levels []int, opts ...Option) (bd
 		return bdd.False, fmt.Errorf("compile: levels has %d entries, want %d", len(levels), n.NumInputs())
 	}
 	// Count fan-outs within the cone so intermediate diagrams can be
-	// dereferenced as soon as their last consumer is compiled.
+	// dereferenced as soon as their last consumer is compiled, and
+	// record each gate's depth: the longest path to it from an input.
 	fanout := make(map[logic.GateID]int, n.NumNodes())
+	depth := make([]int32, n.NumNodes())
 	var topo []logic.GateID
 	if err := n.VisitDepthFirst(func(id logic.GateID, g logic.Gate) {
 		topo = append(topo, id)
 		for _, f := range g.Fanin {
 			fanout[f]++
+			depth[id] = max(depth[id], depth[f]+1)
 		}
 	}); err != nil {
 		return bdd.False, err
@@ -47,7 +53,21 @@ func Netlist(m *bdd.Manager, n *logic.Netlist, levels []int, opts ...Option) (bd
 	cfg.state.SetTotal(int64(len(topo)))
 
 	results := make(map[logic.GateID]bdd.Node, len(topo))
-	var operands []bdd.Node // scratch for n-ary gate fan-ins
+	var fanin []logic.GateID // scratch for n-ary gate fan-ins
+	var operands []bdd.Node
+	// byDepth lists a gate's operands shallow first, ties in written
+	// order. The n-ary apply pairs operands in the order it is given,
+	// so small diagrams near the inputs meet each other before they
+	// meet the deep, usually large, ones.
+	byDepth := func(g logic.Gate) []bdd.Node {
+		fanin = append(fanin[:0], g.Fanin...)
+		slices.SortStableFunc(fanin, func(a, b logic.GateID) int { return cmp.Compare(depth[a], depth[b]) })
+		operands = operands[:0]
+		for _, f := range fanin {
+			operands = append(operands, results[f])
+		}
+		return operands
+	}
 	release := func(id logic.GateID) {
 		fanout[id]--
 		if fanout[id] == 0 {
@@ -65,8 +85,10 @@ func Netlist(m *bdd.Manager, n *logic.Netlist, levels []int, opts ...Option) (bd
 	for _, id := range topo {
 		g := n.Gate(id)
 		var t0 time.Time
+		var created0 int64
 		if cfg.tracer != nil {
 			t0 = time.Now()
+			created0 = m.Stats().NodesCreated
 		}
 		var r bdd.Node
 		var err error
@@ -85,20 +107,12 @@ func Netlist(m *bdd.Manager, n *logic.Netlist, levels []int, opts ...Option) (bd
 			// Hand the whole fan-in to the n-ary apply: it dedupes,
 			// short-circuits, and reduces pairwise in balanced rounds
 			// instead of folding a deep left spine of binary ITEs.
-			operands = operands[:0]
-			for _, f := range g.Fanin {
-				operands = append(operands, results[f])
-			}
-			r, err = m.And(operands...)
+			r, err = m.And(byDepth(g)...)
 			if err == nil && g.Kind == logic.NandKind {
 				r, err = m.Not(r)
 			}
 		case logic.OrKind, logic.NorKind:
-			operands = operands[:0]
-			for _, f := range g.Fanin {
-				operands = append(operands, results[f])
-			}
-			r, err = m.Or(operands...)
+			r, err = m.Or(byDepth(g)...)
 			if err == nil && g.Kind == logic.NorKind {
 				r, err = m.Not(r)
 			}
@@ -124,11 +138,16 @@ func Netlist(m *bdd.Manager, n *logic.Netlist, levels []int, opts ...Option) (bd
 		for _, f := range g.Fanin {
 			release(f)
 		}
+		// Only a GC lowers the live count, so before the GC it is the
+		// gate's high-water mark: the gate whose live equals the compile
+		// peak made it.
+		live := m.Live()
 		m.MaybeGC()
 		cfg.state.Add(1)
 		cfg.state.SetLive(int64(m.Live()))
 		if cfg.tracer != nil {
-			cfg.tracer.Event("gate", "compile", 0, t0, time.Since(t0))
+			cfg.tracer.Event(g.Kind.String()+"/"+strconv.Itoa(len(g.Fanin)), "compile", 0, t0, time.Since(t0),
+				map[string]any{"created": m.Stats().NodesCreated - created0, "live": live})
 		}
 	}
 	root := results[out]

@@ -23,7 +23,9 @@ func WithBuildState(b *obs.BuildState) Option {
 }
 
 // WithTracer attaches a flight-recorder tracer: each compiled gate
-// becomes one timed event in the Chrome trace export.
+// becomes one timed event in the Chrome trace export, named by its kind
+// and fan-in ("and/64") and carrying the BDD nodes it created and the
+// live node count when it finished as args "created" and "live".
 func WithTracer(t *obs.Tracer) Option {
 	return func(o *options) { o.tracer = t }
 }

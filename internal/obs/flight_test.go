@@ -166,7 +166,7 @@ func TestSamplerWriteJSONL(t *testing.T) {
 
 func TestTracerRingAndNilSafety(t *testing.T) {
 	var nilT *Tracer
-	nilT.Event("x", "y", 0, time.Now(), time.Second) // must not panic
+	nilT.Event("x", "y", 0, time.Now(), time.Second, nil) // must not panic
 	if nilT.Events() != nil || nilT.Dropped() != 0 {
 		t.Error("nil tracer not inert")
 	}
@@ -174,7 +174,7 @@ func TestTracerRingAndNilSafety(t *testing.T) {
 	tr := NewTracer(3)
 	base := time.Now()
 	for i := 0; i < 5; i++ {
-		tr.Event("ev", "cat", i, base.Add(time.Duration(i)*time.Millisecond), time.Millisecond)
+		tr.Event("ev", "cat", i, base.Add(time.Duration(i)*time.Millisecond), time.Millisecond, nil)
 	}
 	evs := tr.Events()
 	if len(evs) != 3 {
@@ -215,8 +215,8 @@ func TestWriteChromeTrace(t *testing.T) {
 
 	tr := NewTracer(16)
 	now := time.Now()
-	tr.Event("gate", "compile", 0, now, time.Millisecond)
-	tr.Event("layer 1", "convert", 2, now.Add(time.Millisecond), time.Millisecond)
+	tr.Event("and/2", "compile", 0, now, time.Millisecond, map[string]any{"created": 3, "live": 7})
+	tr.Event("layer 1", "convert", 2, now.Add(time.Millisecond), time.Millisecond, nil)
 
 	s := NewSampler(r, time.Hour, 8)
 	s.sampleNow()
@@ -247,6 +247,9 @@ func TestWriteChromeTrace(t *testing.T) {
 			phaseNames = append(phaseNames, ev.Name)
 		case ev.Ph == "X":
 			workerTids[ev.Tid] = true
+			if ev.Name == "and/2" && (ev.Args["created"] != 3.0 || ev.Args["live"] != 7.0) {
+				t.Errorf("event and/2 args = %v, want created 3 and live 7", ev.Args)
+			}
 		case ev.Ph == "C":
 			counters++
 		}

@@ -11,13 +11,14 @@ import (
 
 // TraceEvent is one timed slice of work attributed to a worker, such
 // as one compiled gate. Events land on per-worker tracks in the Chrome
-// trace export.
+// trace export, with Args as the slice's arguments.
 type TraceEvent struct {
-	Name   string        `json:"name"`
-	Cat    string        `json:"cat,omitempty"`
-	Worker int           `json:"worker"`
-	Start  time.Time     `json:"start"`
-	Dur    time.Duration `json:"dur"`
+	Name   string         `json:"name"`
+	Cat    string         `json:"cat,omitempty"`
+	Worker int            `json:"worker"`
+	Start  time.Time      `json:"start"`
+	Dur    time.Duration  `json:"dur"`
+	Args   map[string]any `json:"args,omitempty"`
 }
 
 // Tracer collects TraceEvents into a bounded ring buffer, overwriting
@@ -46,12 +47,13 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{ring: make([]TraceEvent, 0, capacity)}
 }
 
-// Event records one work slice. No-op on a nil receiver.
-func (t *Tracer) Event(name, cat string, worker int, start time.Time, dur time.Duration) {
+// Event records one work slice; args may be nil. No-op on a nil
+// receiver.
+func (t *Tracer) Event(name, cat string, worker int, start time.Time, dur time.Duration, args map[string]any) {
 	if t == nil {
 		return
 	}
-	ev := TraceEvent{Name: name, Cat: cat, Worker: worker, Start: start, Dur: dur}
+	ev := TraceEvent{Name: name, Cat: cat, Worker: worker, Start: start, Dur: dur, Args: args}
 	t.mu.Lock()
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, ev)
@@ -193,7 +195,7 @@ func WriteChromeTrace(w io.Writer, snap Snapshot, samples []Sample, events []Tra
 		out = append(out, chromeEvent{
 			Name: e.Name, Ph: "X", Cat: cat,
 			Ts: us(e.Start.UnixNano()), Dur: float64(e.Dur) / 1e3,
-			Pid: tracePid, Tid: e.Worker + 1,
+			Pid: tracePid, Tid: e.Worker + 1, Args: e.Args,
 		})
 	}
 
