@@ -685,22 +685,17 @@ func (m *Manager) prepNary(buf []Node, op int) ([]Node, bool) {
 	}
 	slices.Sort(keys)
 	m.naryKeys = keys
-	dups := false
 	for i := 1; i < len(keys); i++ {
 		prev, cur := Node(keys[i-1]>>32), Node(keys[i]>>32)
 		if cur == prev {
 			// Equal handles sort by position: this one is a later copy.
 			buf[uint32(keys[i])] = dropped
-			dups = true
 		} else if cur == prev^1 {
 			// Sorted handles place a function next to its complement.
 			return buf[:0], false // x ∧ ¬x = 0,  x ∨ ¬x = 1
 		}
 	}
-	if dups {
-		buf = slices.DeleteFunc(buf, func(f Node) bool { return f == dropped })
-	}
-	return buf, true
+	return slices.DeleteFunc(buf, func(f Node) bool { return f == dropped }), true
 }
 
 // applyNary conjoins (or disjoins) the operands by balanced pairwise

@@ -108,8 +108,8 @@ func TestNaryPairingIgnoresSlotNumbers(t *testing.T) {
 	}
 }
 
-// TestNaryHostileFanin runs the n-ary apply over 2^18 operands, as wide
-// as a 1 MiB ftdsl gate can make it, full of duplicates. Dedupe is
+// TestNaryHostileFanin runs the n-ary apply over 2^18 operands, about
+// as wide as a 1 MiB ftdsl body can make a gate, full of duplicates. Dedupe is
 // O(k log k); a quadratic one would take minutes here.
 func TestNaryHostileFanin(t *testing.T) {
 	const n, k = 512, 1 << 18
