@@ -64,6 +64,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // Node is a handle to a BDD node owned by a Manager: an arena index in
@@ -1083,10 +1084,25 @@ func (m *Manager) MaybeGC() int {
 // tables as empty. Any call that could create or collect nodes panics
 // afterwards. A build calls Release once its root is final, before
 // converting, so the conversion does not carry the build's tables.
-func (m *Manager) Release() {
+//
+// Release returns the bytes the dropped tables held. They stay in the
+// Go heap as garbage until the runtime's next collection ends, so a
+// caller about to allocate can weigh them against the rest of the
+// heap and collect first.
+func (m *Manager) Release() int {
+	dropped := sliceBytes(m.cache) + sliceBytes(m.buckets) + len(m.refs)*pageSize*4 +
+		sliceBytes(m.stamp) + sliceBytes(m.memoNode) + sliceBytes(m.memoFrac) +
+		sliceBytes(m.naryBuf) + sliceBytes(m.naryKeys)
 	m.cache, m.buckets, m.refs = nil, nil, nil
 	m.stamp, m.memoNode, m.memoFrac, m.naryBuf, m.naryKeys = nil, nil, nil, nil, nil
 	m.released = true
+	return dropped
+}
+
+// sliceBytes returns the bytes of s's backing array.
+func sliceBytes[T any](s []T) int {
+	var z T
+	return cap(s) * int(unsafe.Sizeof(z))
 }
 
 // checkBuilding panics when the manager has been released.

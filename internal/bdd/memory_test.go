@@ -314,8 +314,8 @@ func TestITECacheIsBounded(t *testing.T) {
 	}
 }
 
-// TestReleasedManagerIsReadOnly checks that Release keeps the diagrams
-// readable and turns every call that would build or collect into a
+// TestReleasedManagerIsReadOnly checks that Release reports the bytes
+// it drops, keeps the diagrams readable and turns every call that would build or collect into a
 // clear panic.
 func TestReleasedManagerIsReadOnly(t *testing.T) {
 	m := New(3)
@@ -325,7 +325,13 @@ func TestReleasedManagerIsReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := m.Size(f)
-	m.Release()
+	// Release reports every table it drops, the unique table, ITE
+	// cache and first reference-count page of New at least.
+	want := 4*cap(m.buckets) + 16*cap(m.cache) + 4*pageSize*len(m.refs) +
+		4*cap(m.stamp) + 4*cap(m.memoNode) + 8*cap(m.memoFrac) + 4*cap(m.naryBuf) + 8*cap(m.naryKeys)
+	if got := m.Release(); got != want || want < 4<<10+16<<12+4*pageSize {
+		t.Fatalf("Release reports %d bytes, the tables held %d", got, want)
+	}
 	if m.Level(f) != 0 || m.Lo(f) != False || m.Hi(f) != y || m.Size(f) != size {
 		t.Fatal("released manager no longer reads its diagrams")
 	}

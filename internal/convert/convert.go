@@ -18,6 +18,7 @@ package convert
 
 import (
 	"fmt"
+	"math/bits"
 
 	"socyield/internal/bdd"
 	"socyield/internal/mdd"
@@ -161,13 +162,19 @@ type converter struct {
 	// rest[lv] has the bit of every level from lv to the end of lv's
 	// layer set: the bits a codeword walk at lv has not decided yet.
 	rest []int
-	// Map-free memoization: the coded ROBDD is read-only during the
-	// conversion, so handle values are bounded by NodeBound at entry and
-	// a flat slice indexed by handle replaces the hash map. The key is
-	// the full handle (complement bit included): a node and its
-	// complement denote different functions and convert independently.
-	// memo holds the ROMDD node plus one, so zero means not yet seen.
-	memo []mdd.Node
+	// Map-free memoization over entry handles only: the coded ROBDD is
+	// read-only during the conversion, so the sizing walk's entry
+	// bitset (one bit per handle below NodeBound, set for the root and
+	// every child whose MV level differs from its parent's) names every
+	// handle conv can be called on. rank[w] counts the entry bits in
+	// words 0..w-1, so an entry handle's rank among all entry handles
+	// indexes memo, which has one slot per entry handle. The key is the
+	// full handle (complement bit included): a node and its complement
+	// denote different functions and convert independently. memo holds
+	// the ROMDD node plus one, so zero means not yet seen.
+	entry []uint64
+	rank  []int32
+	memo  []mdd.Node
 	// One target and one child buffer per MV level serve every entry
 	// node of that level: a conversion only recurses into deeper
 	// levels, so a level's buffers are free again by the time the next
@@ -185,7 +192,6 @@ func newConverter(bm *bdd.Manager, spec *Spec, st *Stats, bs *obs.BuildState) *c
 		bs:      bs,
 		start:   make([]int, len(spec.Domains)),
 		end:     make([]int, len(spec.Domains)),
-		memo:    make([]mdd.Node, bm.NodeBound()),
 		targets: make([][]bdd.Node, len(spec.Domains)),
 		kids:    make([][]mdd.Node, len(spec.Domains)),
 	}
@@ -210,15 +216,16 @@ func newConverter(bm *bdd.Manager, spec *Spec, st *Stats, bs *obs.BuildState) *c
 // group returns the MV level of a non-terminal handle.
 func (c *converter) group(n bdd.Node) int { return c.spec.LevelGroup[c.bm.Level(n)] }
 
-// size walks the coded ROBDD below root once and returns the number of
-// entry handles — the root and every child whose MV level differs from
-// its parent's — and the sum of their domain sizes: bounds on the
-// ROMDD's node and child counts.
+// size walks the coded ROBDD below root once, marks the entry handles
+// — the root and every child whose MV level differs from its parent's
+// — in c.entry, and returns their number and the sum of their domain
+// sizes: bounds on the ROMDD's node and child counts. It then ranks
+// the entry bits and sizes the memo to one slot per entry handle.
 func (c *converter) size(root bdd.Node) (entries, kids int64) {
 	if c.bm.IsTerminal(root) {
 		return 0, 0
 	}
-	words := (len(c.memo) + 63) / 64
+	words := (c.bm.NodeBound() + 63) / 64
 	seen, entry := make([]uint64, words), make([]uint64, words)
 	var walk func(n bdd.Node)
 	walk = func(n bdd.Node) {
@@ -239,10 +246,28 @@ func (c *converter) size(root bdd.Node) (entries, kids int64) {
 		}
 	}
 	walk(root)
-	return entries + 1, kids + int64(c.spec.Domains[c.group(root)])
+	// Nothing below the root reaches it, so its bit is still clear.
+	entry[root/64] |= 1 << (root % 64)
+	entries++
+	c.entry, c.rank = entry, make([]int32, words)
+	var r int32
+	for w, word := range entry {
+		c.rank[w] = r
+		r += int32(bits.OnesCount64(word))
+	}
+	c.memo = make([]mdd.Node, entries)
+	return entries, kids + int64(c.spec.Domains[c.group(root)])
 }
 
-// conv converts the coded ROBDD below handle n, memoized per handle.
+// slot returns the memo index of entry handle n: its rank among the
+// entry handles.
+func (c *converter) slot(n bdd.Node) int {
+	w := n / 64
+	return int(c.rank[w]) + bits.OnesCount64(c.entry[w]&(1<<(n%64)-1))
+}
+
+// conv converts the coded ROBDD below entry handle n, memoized per
+// handle.
 func (c *converter) conv(n bdd.Node) mdd.Node {
 	if n == bdd.False {
 		return mdd.False
@@ -250,7 +275,8 @@ func (c *converter) conv(n bdd.Node) mdd.Node {
 	if n == bdd.True {
 		return mdd.True
 	}
-	if r := c.memo[n]; r != 0 {
+	slot := c.slot(n)
+	if r := c.memo[slot]; r != 0 {
 		return r - 1
 	}
 	g := c.group(n)
@@ -272,7 +298,7 @@ func (c *converter) conv(n bdd.Node) mdd.Node {
 		kids[v] = r
 	}
 	r = c.mk(g, kids)
-	c.memo[n] = r + 1
+	c.memo[slot] = r + 1
 	return r
 }
 

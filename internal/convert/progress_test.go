@@ -2,6 +2,7 @@ package convert
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -60,8 +61,8 @@ func TestStatsResetPerConversion(t *testing.T) {
 
 // TestSizeBoundsConversion checks that the sizing walk bounds the
 // entry nodes and child entries of the conversion from above under
-// every MV×bit ordering, and that the conversion fits in the arena it
-// reserves.
+// every MV×bit ordering, that the memo has one slot per entry handle,
+// and that the conversion fits in the arena it reserves.
 func TestSizeBoundsConversion(t *testing.T) {
 	for _, mv := range []order.MVKind{order.MVWV, order.MVWVR, order.MVVW, order.MVVRW, order.MVWeight} {
 		for _, bits := range []order.BitKind{order.BitML, order.BitLM} {
@@ -72,7 +73,9 @@ func TestSizeBoundsConversion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			entries, kids := newConverter(p.bm, &p.spec, nil, nil).size(p.root)
+			c := newConverter(p.bm, &p.spec, nil, nil)
+			entries, kids := c.size(p.root)
+			checkMemoRanks(t, fmt.Sprintf("%v/%v", mv, bits), c, entries)
 			var converted int64
 			for _, n := range st.EntryNodes {
 				converted += n

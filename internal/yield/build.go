@@ -2,6 +2,8 @@ package yield
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"socyield/internal/bdd"
@@ -36,6 +38,10 @@ type model struct {
 // diagram sizes, the conversion spec, releasing the build tables) runs
 // inside that phase's span and timing, so the phase spans account for
 // the whole build.
+//
+// Between compile and convert, reclaim may collect the tables the
+// compile released, so that the conversion allocates in memory the
+// build already holds (see reclaim).
 //
 // An error before compilation returns the zero model. A compile or
 // convert error returns the model with res consistently filled up to
@@ -88,8 +94,12 @@ func build(parent *obs.Span, sys *System, opts Options) (model, error) {
 	if err == nil {
 		res.CodedROBDDSize = bm.Size(broot)
 		// The root is final: conversion reads only the node arena, so
-		// the build's cache, unique table and reference counts go now.
-		bm.Release()
+		// the build's cache, unique table, reference counts and
+		// traversal scratch go now. They stay in the heap as garbage
+		// until a collection ends; the convert phase decides whether
+		// to collect them before it allocates.
+		res.Stats.Heap.Released = uint64(bm.Release())
+		res.Stats.Heap.CompileEnd = readHeap()
 	}
 	res.Phases.Compile = time.Since(t0)
 	sp.End()
@@ -104,6 +114,7 @@ func build(parent *obs.Span, sys *System, opts Options) (model, error) {
 		res.Phases.Convert = time.Since(t0)
 		sp.End()
 	}()
+	res.Stats.Heap.Reclaimed, res.Stats.Heap.AfterReclaim = reclaim(res.Stats.Heap.Released)
 	groupOf, bitOf := groupMeta(g)
 	spec, err := convert.SpecFromPlanLevels(plan.BinaryLevels, groupOf, bitOf, plan.GroupSeq, g.Domains())
 	if err != nil {
@@ -121,6 +132,7 @@ func build(parent *obs.Span, sys *System, opts Options) (model, error) {
 		return md, fmt.Errorf("yield: converting to ROMDD: %w", err)
 	}
 	md.frozen = mm.Freeze(mroot)
+	res.Stats.Heap.ConvertEnd = readHeap()
 	ms := md.frozen.ComputeStats()
 	res.ROMDDSize = ms.Nodes
 	res.Stats.ROMDDPerLevel = ms.PerLevel
@@ -129,4 +141,39 @@ func build(parent *obs.Span, sys *System, opts Options) (model, error) {
 		res.Stats.ROBDDToROMDDRatio = float64(res.CodedROBDDSize) / float64(res.ROMDDSize)
 	}
 	return md, nil
+}
+
+// readHeap returns the bytes in Go heap objects, live or not yet
+// swept.
+func readHeap() uint64 {
+	s := [1]metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64()
+}
+
+// reclaim runs one collection when the released bytes, garbage since
+// Release, are at least GOGC percent of the rest of the heap: the ratio
+// at which the runtime starts a cycle of its own, read rather than
+// chosen. Collecting then lets the conversion reuse the tables' memory
+// instead of taking fresh pages on top of them. In a heap that holds
+// much more, such as a server's cached models, the tables are a small
+// share and the runtime's pacing is left alone; with GOGC=off nothing
+// is collected. It reports whether it collected and the heap
+// afterwards.
+//
+// The rest of the heap is the live heap the last cycle marked, less
+// the tables, which were live then. Heap-object bytes would overstate
+// it by the garbage not yet swept: on ESEN8x2 the unique tables and
+// caches that compile growths superseded, about 11 MB, enough to tip
+// 51 MB of tables under the rule.
+func reclaim(released uint64) (bool, uint64) {
+	s := [2]metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/gogc:percent"}}
+	metrics.Read(s[:])
+	live, gogc := s[0].Value.Uint64(), int64(s[1].Value.Uint64())
+	rest := live - min(live, released)
+	if gogc < 0 || float64(released)*100 < float64(gogc)*float64(rest) {
+		return false, readHeap()
+	}
+	runtime.GC()
+	return true, readHeap()
 }

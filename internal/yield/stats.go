@@ -39,6 +39,27 @@ type EngineStats struct {
 	// consensus measurement that the coded ROBDD is the larger of the
 	// two (0 when either size is unknown).
 	ROBDDToROMDDRatio float64
+	// Heap follows the Go heap across the compile → convert boundary.
+	// Zero on routes that compile no coded ROBDD.
+	Heap HeapStats
+}
+
+// HeapStats answers which phase of a build holds its peak heap, and
+// whether the collection between compile and convert ran. Heap
+// readings are bytes in Go heap objects, live or not yet swept
+// (runtime/metrics /memory/classes/heap/objects:bytes), and include
+// whatever else the process holds.
+type HeapStats struct {
+	// CompileEnd is read once the compile has released its tables,
+	// AfterReclaim once the reclaim has run or declined (then about
+	// CompileEnd), and ConvertEnd once the ROMDD is frozen.
+	CompileEnd   uint64
+	AfterReclaim uint64
+	ConvertEnd   uint64
+	// Released is the bytes bdd.Manager.Release dropped.
+	Released uint64
+	// Reclaimed reports whether the build collected before converting.
+	Reclaimed bool
 }
 
 // publish flushes the engine stats into a metrics registry. Counter
@@ -79,6 +100,17 @@ func (s *EngineStats) publish(rec *obs.Registry) {
 	rec.Gauge("romdd.max_width").Set(int64(s.ROMDDMaxWidth))
 	if s.ROBDDToROMDDRatio > 0 {
 		rec.FloatGauge("convert.robdd_to_romdd_ratio").Set(s.ROBDDToROMDDRatio)
+	}
+
+	if s.Heap.CompileEnd > 0 {
+		rec.Gauge("build.heap_compile_bytes").Set(int64(s.Heap.CompileEnd))
+		rec.Gauge("build.heap_reclaim_bytes").Set(int64(s.Heap.AfterReclaim))
+		rec.Gauge("build.heap_convert_bytes").Set(int64(s.Heap.ConvertEnd))
+		rec.Gauge("bdd.released_bytes").Set(int64(s.Heap.Released))
+		reclaims := rec.Counter("build.reclaims")
+		if s.Heap.Reclaimed {
+			reclaims.Add(1)
+		}
 	}
 }
 
