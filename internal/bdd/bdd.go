@@ -29,8 +29,8 @@
 // the cache away: a growth rehashes every entry into the larger cache,
 // and a GC drops only the entries that name a node it freed, since
 // their slots will be reused. Release drops the cache together with
-// the unique table and the reference counts once a build's root is
-// final; only the node arena stays, for the read-only accessors.
+// the unique table and the mark bits once a build's root is final;
+// only the node arena stays, for the read-only accessors.
 //
 // # N-ary apply
 //
@@ -47,10 +47,17 @@
 //
 // # Arena
 //
-// The node arena and the reference counts live in pages of 2^16 slots
-// (pageSize); slot idx is entry idx&pageMask of page idx>>pageBits. A
-// page is allocated whole when the arena first reaches it and is never
-// copied or moved, so growing the arena allocates each slot once.
+// The node arena lives in pages of 2^16 slots (pageSize); slot idx is
+// entry idx&pageMask of page idx>>pageBits. A page is allocated whole
+// when the arena first reaches it and is never copied or moved, so
+// growing the arena allocates each slot once.
+//
+// A slot costs its 16-byte node and nothing more while the manager
+// builds. The side tables are not per slot: external references are a
+// map over the few referenced nodes (package compile holds one per
+// gate result still to be read), and the garbage collector marks in a
+// bitset, one bit per slot. Traversals that need a per-node memo
+// (Restrict, SatFraction) allocate it per call.
 //
 // Variables are identified by their level in the fixed total order,
 // 0 .. NumVars-1; mapping from named problem variables to levels is the
@@ -117,7 +124,7 @@ type Manager struct {
 	// read loads the page pointer where a flat arena would load its
 	// base, and needs no bounds check.
 	nodes     [maxPages]*[pageSize]node // arena pages, allocated once each
-	refs      []*[pageSize]int32        // reference counts, paged like nodes
+	refs      map[int32]int32           // external reference counts of referenced slots
 	size      int32                     // arena length: slots handed out so far
 	buckets   []int32
 	numVars   int32
@@ -130,12 +137,9 @@ type Manager struct {
 	cacheMask uint32       // number of sets - 1
 	gcCount   int
 	autoGCAt  int
-	stamp     []int32 // per-arena-index visitation stamps for traversals
-	stampGen  int32
-	memoNode  []Node    // per-arena-index result memo (Restrict)
-	memoFrac  []float64 // per-arena-index result memo (SatFraction)
-	naryBuf   []Node    // operand scratch for the n-ary apply
-	naryKeys  []uint64  // sorted (handle, position) scratch for its dedupe
+	marks     []uint64 // GC mark bits, one per arena slot
+	naryBuf   []Node   // operand scratch for the n-ary apply
+	naryKeys  []uint64 // sorted (handle, position) scratch for its dedupe
 	limitHit  bool
 	released  bool
 	// Instrumentation totals, maintained as plain fields because
@@ -180,12 +184,13 @@ func New(numVars int, opts ...Option) *Manager {
 	m := &Manager{
 		numVars: int32(numVars),
 		free:    nilIdx,
+		refs:    make(map[int32]int32),
 	}
 	// The single terminal occupies arena slot 0. Terminal level is
-	// numVars so that every internal level compares below it.
+	// numVars so that every internal level compares below it; GC always
+	// keeps it.
 	m.newSlot()
 	*m.slot(0) = node{level: m.numVars, next: nilIdx}
-	*m.ref(0) = 1 // permanently referenced
 	m.live = 1
 	m.peakLive = 1
 	m.rehash(1 << 10)
@@ -285,9 +290,6 @@ func (m *Manager) slot(idx int32) *node {
 // nodeOf returns the arena slot that handle n names.
 func (m *Manager) nodeOf(n Node) *node { return m.slot(int32(n >> 1)) }
 
-// ref returns the reference count of the arena slot at index idx.
-func (m *Manager) ref(idx int32) *int32 { return &m.refs[idx>>pageBits][idx&pageMask] }
-
 // newSlot appends a slot to the arena, allocating the next page when
 // the arena fills the last one, and returns its index. The slot's
 // contents are whatever the page holds; the caller fills them in.
@@ -295,7 +297,6 @@ func (m *Manager) newSlot() int32 {
 	idx := m.size
 	if idx&pageMask == 0 {
 		m.nodes[idx>>pageBits] = new([pageSize]node)
-		m.refs = append(m.refs, new([pageSize]int32))
 	}
 	m.size++
 	return idx
@@ -408,7 +409,6 @@ func (m *Manager) mk(level int32, lo, hi Node) Node {
 		}
 	}
 	*m.slot(idx) = node{level: level, lo: lo, hi: hi, next: m.buckets[b]}
-	*m.ref(idx) = 0
 	m.buckets[b] = idx
 	m.nodesCreated++
 	m.live++
@@ -482,7 +482,7 @@ func (m *Manager) IsTerminal(n Node) bool { return n <= True }
 func (m *Manager) Ref(n Node) Node {
 	m.checkBuilding()
 	if n > True {
-		*m.ref(int32(n >> 1))++
+		m.refs[int32(n>>1)]++
 	}
 	return n
 }
@@ -491,11 +491,15 @@ func (m *Manager) Ref(n Node) Node {
 func (m *Manager) Deref(n Node) {
 	m.checkBuilding()
 	if n > True {
-		r := m.ref(int32(n >> 1))
-		if *r == 0 {
+		idx := int32(n >> 1)
+		switch r := m.refs[idx]; r {
+		case 0:
 			panic(fmt.Sprintf("bdd: Deref of unreferenced node %d", n))
+		case 1:
+			delete(m.refs, idx)
+		default:
+			m.refs[idx] = r - 1
 		}
-		*r--
 	}
 }
 
@@ -825,21 +829,18 @@ func (m *Manager) Restrict(f Node, level int, val bool) (Node, error) {
 	var err error
 	func() {
 		defer m.guard(&err)
-		// Arena-indexed memo over the nodes that exist on entry; the
-		// recursion only descends into those, so nodes mk creates along
-		// the way never index the scratch slices.
-		gen := m.nextStamp()
-		if len(m.memoNode) < len(m.stamp) {
-			m.memoNode = make([]Node, len(m.stamp))
-		}
-		out = m.restrict(f, int32(level), val, gen)
+		// Arena-indexed memo over the nodes that exist on entry, holding
+		// the result plus one (zero: not yet restricted); the recursion
+		// only descends into those, so nodes mk creates along the way
+		// never index it.
+		out = m.restrict(f, int32(level), val, make([]Node, m.size))
 	}()
 	return out, err
 }
 
 // restrict memoizes per stored node and re-applies the handle's
 // polarity on the way out: restrict(¬f) = ¬restrict(f).
-func (m *Manager) restrict(f Node, level int32, val bool, gen int32) Node {
+func (m *Manager) restrict(f Node, level int32, val bool, memo []Node) Node {
 	nd := m.nodeOf(f)
 	if nd.level > level {
 		return f
@@ -852,12 +853,11 @@ func (m *Manager) restrict(f Node, level int32, val bool, gen int32) Node {
 		return nd.lo ^ c
 	}
 	idx := f >> 1
-	if m.stamp[idx] == gen {
-		return m.memoNode[idx] ^ c
+	if r := memo[idx]; r != 0 {
+		return (r - 1) ^ c
 	}
-	r := m.mk(nd.level, m.restrict(nd.lo, level, val, gen), m.restrict(nd.hi, level, val, gen))
-	m.stamp[idx] = gen
-	m.memoNode[idx] = r
+	r := m.mk(nd.level, m.restrict(nd.lo, level, val, memo), m.restrict(nd.hi, level, val, memo))
+	memo[idx] = r + 1
 	return r ^ c
 }
 
@@ -897,51 +897,57 @@ func (m *Manager) Eval(f Node, assign []bool) bool {
 	return f == True
 }
 
-func (m *Manager) nextStamp() int32 {
-	if len(m.stamp) < int(m.size) {
-		m.stamp = make([]int32, m.size)
-		m.stampGen = 0
+// bitset is a set of arena slots, one bit per slot.
+type bitset []uint64
+
+// newBitset returns an empty set over the manager's arena.
+func (m *Manager) newBitset() bitset { return make(bitset, (m.size+63)/64) }
+
+// add inserts idx and reports whether it was absent.
+func (b bitset) add(idx int32) bool {
+	w, bit := idx/64, uint64(1)<<(idx%64)
+	if b[w]&bit != 0 {
+		return false
 	}
-	m.stampGen++
-	return m.stampGen
+	b[w] |= bit
+	return true
 }
+
+// has reports whether idx is in the set.
+func (b bitset) has(idx int32) bool { return b[idx/64]&(1<<(idx%64)) != 0 }
 
 // Size returns the number of stored nodes in the diagram rooted at f,
 // including the terminal when it is reached. A function and its
-// complement share all nodes, so Size(f) == Size(¬f).
-func (m *Manager) Size(f Node) int {
-	gen := m.nextStamp()
-	return m.sizeRec(f>>1, gen)
-}
+// complement share all nodes, so Size(f) == Size(¬f). The visited set
+// is allocated per call.
+func (m *Manager) Size(f Node) int { return m.sizeRec(int32(f>>1), m.newBitset()) }
 
 // SizeShared returns the number of distinct stored nodes reachable
 // from any of the given roots (diagram sharing counted once).
 func (m *Manager) SizeShared(roots []Node) int {
-	gen := m.nextStamp()
+	seen := m.newBitset()
 	total := 0
 	for _, r := range roots {
-		total += m.sizeRec(r>>1, gen)
+		total += m.sizeRec(int32(r>>1), seen)
 	}
 	return total
 }
 
-func (m *Manager) sizeRec(idx Node, gen int32) int {
-	if m.stamp[idx] == gen {
+func (m *Manager) sizeRec(idx int32, seen bitset) int {
+	if !seen.add(idx) {
 		return 0
 	}
-	m.stamp[idx] = gen
 	if idx == 0 {
 		return 1
 	}
-	nd := m.slot(int32(idx))
-	return 1 + m.sizeRec(nd.lo>>1, gen) + m.sizeRec(nd.hi>>1, gen)
+	nd := m.slot(idx)
+	return 1 + m.sizeRec(int32(nd.lo>>1), seen) + m.sizeRec(int32(nd.hi>>1), seen)
 }
 
 // Support returns the sorted levels of the variables f depends on.
 func (m *Manager) Support(f Node) []int {
-	gen := m.nextStamp()
 	seen := make([]bool, m.numVars)
-	m.supportRec(f>>1, gen, seen)
+	m.supportRec(int32(f>>1), m.newBitset(), seen)
 	out := make([]int, 0, len(seen))
 	for lv, s := range seen {
 		if s {
@@ -951,42 +957,37 @@ func (m *Manager) Support(f Node) []int {
 	return out
 }
 
-func (m *Manager) supportRec(idx Node, gen int32, seen []bool) {
-	if idx == 0 || m.stamp[idx] == gen {
+func (m *Manager) supportRec(idx int32, visited bitset, seen []bool) {
+	if idx == 0 || !visited.add(idx) {
 		return
 	}
-	m.stamp[idx] = gen
-	nd := m.slot(int32(idx))
+	nd := m.slot(idx)
 	seen[nd.level] = true
-	m.supportRec(nd.lo>>1, gen, seen)
-	m.supportRec(nd.hi>>1, gen, seen)
+	m.supportRec(int32(nd.lo>>1), visited, seen)
+	m.supportRec(int32(nd.hi>>1), visited, seen)
 }
 
 // SatFraction returns the fraction of the 2^NumVars assignments that
 // satisfy f. It is exact up to float64 rounding.
 func (m *Manager) SatFraction(f Node) float64 {
-	gen := m.nextStamp()
-	if len(m.memoFrac) < len(m.stamp) {
-		m.memoFrac = make([]float64, len(m.stamp))
-	}
-	return m.satFrac(f, gen)
+	return m.satFrac(f, m.newBitset(), make([]float64, m.size))
 }
 
 // satFrac memoizes the density of each stored node and resolves the
 // handle's polarity on the way out: density(¬f) = 1 − density(f).
-func (m *Manager) satFrac(f Node, gen int32) float64 {
-	idx := f >> 1
+func (m *Manager) satFrac(f Node, done bitset, memo []float64) float64 {
+	idx := int32(f >> 1)
 	var v float64
 	switch {
 	case idx == 0:
 		v = 0 // stored terminal is constant false
-	case m.stamp[idx] == gen:
-		v = m.memoFrac[idx]
+	case done.has(idx):
+		v = memo[idx]
 	default:
 		nd := m.nodeOf(f)
-		v = 0.5*m.satFrac(nd.lo, gen) + 0.5*m.satFrac(nd.hi, gen)
-		m.stamp[idx] = gen
-		m.memoFrac[idx] = v
+		v = 0.5*m.satFrac(nd.lo, done, memo) + 0.5*m.satFrac(nd.hi, done, memo)
+		done.add(idx)
+		memo[idx] = v
 	}
 	if f&1 != 0 {
 		return 1 - v
@@ -1008,19 +1009,25 @@ func (m *Manager) SatCount(f Node) float64 {
 // trigger GC internally.
 func (m *Manager) GC() int {
 	m.checkBuilding()
-	gen := m.nextStamp()
-	// Mark phase: roots are nodes with a positive external refcount.
-	for i := int32(1); i < m.size; i++ {
-		if *m.ref(i) > 0 && m.slot(i).level != freeLevel {
-			m.markRec(i, gen)
-		}
+	// The mark bits are kept between collections and cleared here.
+	if n := int(m.size+63) / 64; cap(m.marks) < n {
+		m.marks = make([]uint64, n)
+	} else {
+		m.marks = m.marks[:n]
+		clear(m.marks)
 	}
-	m.stamp[0] = gen
+	marked := bitset(m.marks)
+	// Mark phase: roots are the referenced nodes and the terminal. The
+	// marked set does not depend on the order roots are visited in.
+	marked.add(0)
+	for idx := range m.refs {
+		m.markRec(idx, marked)
+	}
 	// Sweep phase.
 	freed := 0
 	for i := int32(1); i < m.size; i++ {
 		nd := m.slot(i)
-		if nd.level == freeLevel || m.stamp[i] == gen {
+		if nd.level == freeLevel || marked.has(i) {
 			continue
 		}
 		*nd = node{level: freeLevel, lo: Node(m.free), next: nilIdx}
@@ -1036,8 +1043,8 @@ func (m *Manager) GC() int {
 		// one could answer wrongly; entries over survivors stay valid.
 		for i := range m.cache {
 			e := &m.cache[i]
-			if e.f != 0 && (m.stamp[e.f>>1] != gen || m.stamp[e.g>>1] != gen ||
-				m.stamp[e.h>>1] != gen || m.stamp[e.result>>1] != gen) {
+			if e.f != 0 && (!marked.has(int32(e.f>>1)) || !marked.has(int32(e.g>>1)) ||
+				!marked.has(int32(e.h>>1)) || !marked.has(int32(e.result>>1))) {
 				*e = cacheEntry{}
 			}
 		}
@@ -1046,17 +1053,13 @@ func (m *Manager) GC() int {
 	return freed
 }
 
-func (m *Manager) markRec(idx int32, gen int32) {
-	if m.stamp[idx] == gen {
-		return
-	}
-	m.stamp[idx] = gen
-	if idx == 0 {
+func (m *Manager) markRec(idx int32, marked bitset) {
+	if !marked.add(idx) {
 		return
 	}
 	nd := m.slot(idx)
-	m.markRec(int32(nd.lo>>1), gen)
-	m.markRec(int32(nd.hi>>1), gen)
+	m.markRec(int32(nd.lo>>1), marked)
+	m.markRec(int32(nd.hi>>1), marked)
 }
 
 // MaybeGC runs GC if the arena has grown substantially since the last
@@ -1077,24 +1080,24 @@ func (m *Manager) MaybeGC() int {
 }
 
 // Release drops every table the manager needs only to build diagrams:
-// the operation cache, the unique table, the reference counts and the
-// traversal scratch. What stays is the node arena, so the read-only
+// the operation cache, the unique table, the references, the mark bits
+// and the n-ary scratch. What stays is the node arena, so the read-only
 // accessors (Level, Lo, Hi, IsTerminal, Eval, NodeBound, Size, ...)
 // keep working on the finished diagrams; Stats reports the released
 // tables as empty. Any call that could create or collect nodes panics
 // afterwards. A build calls Release once its root is final, before
 // converting, so the conversion does not carry the build's tables.
 //
-// Release returns the bytes the dropped tables held. They stay in the
-// Go heap as garbage until the runtime's next collection ends, so a
-// caller about to allocate can weigh them against the rest of the
-// heap and collect first.
+// Release returns the bytes the dropped arrays held (the reference
+// map, a few entries, is not counted). They stay in the Go heap as
+// garbage until the runtime's next collection ends, so a caller about
+// to allocate can weigh them against the rest of the heap and collect
+// first.
 func (m *Manager) Release() int {
-	dropped := sliceBytes(m.cache) + sliceBytes(m.buckets) + len(m.refs)*pageSize*4 +
-		sliceBytes(m.stamp) + sliceBytes(m.memoNode) + sliceBytes(m.memoFrac) +
+	dropped := sliceBytes(m.cache) + sliceBytes(m.buckets) + sliceBytes(m.marks) +
 		sliceBytes(m.naryBuf) + sliceBytes(m.naryKeys)
-	m.cache, m.buckets, m.refs = nil, nil, nil
-	m.stamp, m.memoNode, m.memoFrac, m.naryBuf, m.naryKeys = nil, nil, nil, nil, nil
+	m.cache, m.buckets, m.refs, m.marks = nil, nil, nil, nil
+	m.naryBuf, m.naryKeys = nil, nil
 	m.released = true
 	return dropped
 }

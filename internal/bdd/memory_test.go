@@ -110,9 +110,10 @@ func TestUniqueTableKeepsEveryNodeAcrossGrowth(t *testing.T) {
 
 // TestArenaGrowthAllocatesEachSlotOnce grows a manager past four arena
 // pages and checks that growth allocated each slot once: everything
-// the manager allocated stays under 1.5 times the 20 bytes per slot of
-// node and reference count, plus every unique table and cache it went
-// through (each doubling, so under twice the final ones). An arena
+// the manager allocated stays under 1.5 times the 16 bytes per slot of
+// a node, plus every unique table and cache it went through (each
+// doubling, so under twice the final ones). No side table grows per
+// slot. An arena
 // that copies itself on growth allocates several times its size. The
 // test then frees slots on every full page by a collection, refills
 // them, releases the build tables and checks that every slot, on
@@ -143,7 +144,7 @@ func TestArenaGrowthAllocatesEachSlotOnce(t *testing.T) {
 	runtime.ReadMemStats(&ms1)
 	slots := uint64(m.size)
 	tables := 2 * (uint64(len(m.buckets))*4 + uint64(len(m.cache))*16)
-	if got, limit := ms1.TotalAlloc-ms0.TotalAlloc, 3*slots*20/2+tables; got > limit {
+	if got, limit := ms1.TotalAlloc-ms0.TotalAlloc, 3*slots*16/2+tables; got > limit {
 		t.Fatalf("growing the arena to %d slots allocated %d bytes, over %d", slots, got, limit)
 	}
 
@@ -325,11 +326,10 @@ func TestReleasedManagerIsReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := m.Size(f)
-	// Release reports every table it drops, the unique table, ITE
-	// cache and first reference-count page of New at least.
-	want := 4*cap(m.buckets) + 16*cap(m.cache) + 4*pageSize*len(m.refs) +
-		4*cap(m.stamp) + 4*cap(m.memoNode) + 8*cap(m.memoFrac) + 4*cap(m.naryBuf) + 8*cap(m.naryKeys)
-	if got := m.Release(); got != want || want < 4<<10+16<<12+4*pageSize {
+	// Release reports every table it drops: the unique table and ITE
+	// cache of New at least, the mark bits and the n-ary scratch.
+	want := 4*cap(m.buckets) + 16*cap(m.cache) + 8*cap(m.marks) + 4*cap(m.naryBuf) + 8*cap(m.naryKeys)
+	if got := m.Release(); got != want || want < 4<<10+16<<12 {
 		t.Fatalf("Release reports %d bytes, the tables held %d", got, want)
 	}
 	if m.Level(f) != 0 || m.Lo(f) != False || m.Hi(f) != y || m.Size(f) != size {

@@ -133,8 +133,12 @@ func ToMDDWithStats(bm *bdd.Manager, root bdd.Node, mm *mdd.Manager, spec Spec, 
 	entries, kids := c.size(root)
 	// The sizing walk bounds the conversion from above: an entry node
 	// reached only through out-of-domain codewords is counted but never
-	// converted. One reservation therefore holds the whole ROMDD.
+	// converted. One reservation therefore holds the whole ROMDD but its
+	// distinct children, which grow as the nodes are made.
 	cfg.state.SetTotal(entries)
+	if cfg.beforeReserve != nil {
+		cfg.beforeReserve(mm.ReserveBytes(int(entries), int(kids)))
+	}
 	mm.Reserve(int(entries), int(kids))
 	var out mdd.Node
 	err := mm.Build(func(mk func(int, []mdd.Node) mdd.Node) {
@@ -219,7 +223,7 @@ func (c *converter) group(n bdd.Node) int { return c.spec.LevelGroup[c.bm.Level(
 // size walks the coded ROBDD below root once, marks the entry handles
 // — the root and every child whose MV level differs from its parent's
 // — in c.entry, and returns their number and the sum of their domain
-// sizes: bounds on the ROMDD's node and child counts. It then ranks
+// sizes: bounds on the ROMDD's node and slot-map entry counts. It then ranks
 // the entry bits and sizes the memo to one slot per entry handle.
 func (c *converter) size(root bdd.Node) (entries, kids int64) {
 	if c.bm.IsTerminal(root) {

@@ -50,10 +50,12 @@ func codedROBDD(t *testing.T, name string, m int) (*bdd.Manager, bdd.Node, conve
 	return bm, root, spec
 }
 
-// sharesKids reports whether the snapshot's child array is the
-// manager's own (Freeze adopted it) rather than a copy.
-func sharesKids(f *mdd.Frozen, mm *mdd.Manager) bool {
-	return unsafe.Pointer(unsafe.SliceData(f.Data().Kids)) == unsafe.Pointer(unsafe.SliceData(mm.Kids(2)))
+// freeze freezes the diagram rooted at root and reports whether
+// Freeze adopted the manager's arrays rather than copying them: two
+// adopted snapshots share the manager's arrays, two copies do not.
+func freeze(mm *mdd.Manager, root mdd.Node) (*mdd.Frozen, bool) {
+	f := mm.Freeze(root)
+	return f, unsafe.SliceData(f.Shape().Levels) == unsafe.SliceData(mm.Freeze(root).Shape().Levels)
 }
 
 func sameData(a, b mdd.FrozenData) bool {
@@ -113,8 +115,8 @@ func TestFreezeAdoptsSerialConversion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adopted := mm.Freeze(mroot)
-		if !sharesKids(adopted, mm) {
+		adopted, shared := freeze(mm, mroot)
+		if !shared {
 			t.Fatalf("%s: Freeze copied a serial conversion", name)
 		}
 		if adopted.Size() != mm.Size(mroot) {
@@ -132,8 +134,8 @@ func TestFreezeAdoptsSerialConversion(t *testing.T) {
 		if mm.NumNodes() == nodes {
 			t.Fatalf("%s: no unreachable node could be added", name)
 		}
-		copied := mm.Freeze(mroot)
-		if sharesKids(copied, mm) {
+		copied, shared := freeze(mm, mroot)
+		if shared {
 			t.Fatalf("%s: Freeze adopted a manager holding an unreachable node", name)
 		}
 		if !sameData(adopted.Data(), copied.Data()) {
@@ -144,7 +146,7 @@ func TestFreezeAdoptsSerialConversion(t *testing.T) {
 
 // TestToMDDSizesArenaExactly checks that on the benchmark systems the
 // sizing walk counts exactly the ROMDD the conversion builds: the
-// reserved node and child arrays end up full, never regrown.
+// reserved node arrays and slot maps end up full, never regrown.
 func TestToMDDSizesArenaExactly(t *testing.T) {
 	for _, name := range []string{"MS2", "ESEN4x1"} {
 		bm, root, spec := codedROBDD(t, name, 4)
@@ -154,8 +156,9 @@ func TestToMDDSizesArenaExactly(t *testing.T) {
 			t.Fatal(err)
 		}
 		kids := mm.Freeze(mroot).Data().Kids
-		if cap(mm.Kids(2)) != len(kids) {
-			t.Errorf("%s: child arena holds %d entries, the ROMDD uses %d", name, cap(mm.Kids(2)), len(kids))
+		nodes, values := mm.Capacity()
+		if values != len(kids) || nodes != mm.NumNodes() {
+			t.Errorf("%s: arena holds %d nodes and %d values, the ROMDD uses %d and %d", name, nodes, values, mm.NumNodes(), len(kids))
 		}
 	}
 }

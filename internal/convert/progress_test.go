@@ -85,8 +85,8 @@ func TestSizeBoundsConversion(t *testing.T) {
 				t.Errorf("%v/%v: sized %d entries and %d children, converted %d and %d",
 					mv, bits, entries, kids, converted, len(f.Data().Kids))
 			}
-			if cap(mm.Kids(2)) != int(kids) {
-				t.Errorf("%v/%v: child arena holds %d entries, reserved %d", mv, bits, cap(mm.Kids(2)), kids)
+			if _, values := mm.Capacity(); values != int(kids) {
+				t.Errorf("%v/%v: slot maps hold %d entries, reserved %d", mv, bits, values, kids)
 			}
 		}
 	}

@@ -267,7 +267,7 @@ func TestFreezeAdoptsOnlyItsOwnLayout(t *testing.T) {
 		return m, root
 	}
 	shares := func(f *Frozen, m *Manager) bool {
-		return unsafe.Pointer(unsafe.SliceData(f.kids)) == unsafe.Pointer(unsafe.SliceData(m.kids))
+		return unsafe.SliceData(f.kids[0]) == unsafe.SliceData(m.kids[0]) && unsafe.SliceData(f.levels) == unsafe.SliceData(m.levels)
 	}
 	pm, proot := build(true)
 	adopted := pm.Freeze(proot)

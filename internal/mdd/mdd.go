@@ -4,12 +4,27 @@
 // construction route of Srinivasan et al. and Miller & Drechsler that
 // the paper compares the coded-ROBDD route against.
 //
-// Each variable level has a fixed finite domain {0..d-1}. A
-// non-terminal node at level l has exactly d(l) outgoing edges, one per
-// domain value (the "edge labeled by a subset of values" view of the
-// paper corresponds to several values sharing a child). Diagrams are
-// reduced (no node has all children equal; no two nodes are identical)
-// and ordered, hence canonical for a fixed level order.
+// Each variable level has a fixed finite domain {0..d-1}, with
+// 2 ≤ d ≤ MaxDomain. A non-terminal node at level l has one child per
+// domain value. Diagrams are reduced (no node has all children equal;
+// no two nodes are identical) and ordered, hence canonical for a fixed
+// level order.
+//
+// # Layout
+//
+// The paper draws a node's edges "labeled by subsets of values", and
+// that is how a node is stored: its distinct children, in the order of
+// the first value leading to each, and a slot map giving, for every
+// value, the index of its child in that list. Slot maps are one byte
+// per value when every domain has at most 256 values (every paper
+// benchmark: C ≤ 120) and two bytes up to MaxDomain; the distinct
+// children sit in pages that are never copied. A frozen ESEN8x2 model
+// has 17.0M values but only 2.0M distinct children, so its children
+// take 24.0 MiB instead of the 64.9 MiB of one int32 per value.
+// The probability passes still run one step per value, in value order,
+// reading the child through the slot map, so every sum is the one a
+// flat child array gives. The serialized form (FrozenData) keeps one
+// child per value: Data expands it, FrozenFromData compacts it.
 //
 // # Concurrency
 //
@@ -26,6 +41,7 @@ package mdd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -45,20 +61,23 @@ var ErrNodeLimit = errors.New("mdd: node limit exceeded")
 
 const nilIdx = int32(-1)
 
-type mnode struct {
-	level   int32
-	kidsOff int32
-	next    int32
-}
-
 // Manager owns an ROMDD arena over a fixed sequence of variable
 // domains.
 type Manager struct {
-	domains []int32
-	nodes   []mnode
-	kids    []Node
+	arena
+	// chain links each node into its unique-table bucket, beside the
+	// node's full hash: a lookup reads one entry per node it passes and
+	// compares a node only on a hash match, and a rehash needs no
+	// node.
+	chain   []chainLink
 	buckets []int32
 	limit   int
+	// Scratch of mk: the compact form of the node being made, and one
+	// entry per node for compactKids.
+	dk   []int32
+	sl8  []uint8
+	sl16 []uint16
+	pos  []int32
 	// Instrumentation totals, maintained as plain fields because
 	// construction is single-threaded by contract; BuildStats snapshots
 	// them.
@@ -67,6 +86,13 @@ type Manager struct {
 	reduced      int64
 	memoHits     int64
 	memoMisses   int64
+}
+
+// chainLink is a node's unique-table entry: the next node in its
+// bucket and the node's hash.
+type chainLink struct {
+	next int32
+	hash uint32
 }
 
 // Option configures a Manager.
@@ -78,17 +104,20 @@ func WithNodeLimit(n int) Option { return func(m *Manager) { m.limit = n } }
 
 // New creates a manager for variables at levels 0..len(domains)-1,
 // where the variable at level l takes values in {0..domains[l]-1}.
-// Every domain must have at least two values.
+// Every domain must have at least two and at most MaxDomain values.
 func New(domains []int, opts ...Option) (*Manager, error) {
-	m := &Manager{domains: make([]int32, len(domains))}
+	doms := make([]int32, len(domains))
 	for i, d := range domains {
 		if d < 2 {
 			return nil, fmt.Errorf("mdd: domain of level %d has size %d, need ≥ 2", i, d)
 		}
-		m.domains[i] = int32(d)
+		if d > MaxDomain {
+			return nil, fmt.Errorf("mdd: domain of level %d has size %d, over the limit %d", i, d, MaxDomain)
+		}
+		doms[i] = int32(d)
 	}
 	// Terminals at level len(domains).
-	m.nodes = append(m.nodes, mnode{level: int32(len(domains)), next: nilIdx}, mnode{level: int32(len(domains)), next: nilIdx})
+	m := &Manager{arena: newArena(doms), chain: []chainLink{{next: nilIdx}, {next: nilIdx}}}
 	m.resizeBuckets(1 << 10)
 	for _, o := range opts {
 		o(m)
@@ -113,7 +142,7 @@ func (m *Manager) Domain(level int) int { return int(m.domains[level]) }
 
 // NumNodes returns the total number of nodes allocated, including the
 // two terminals.
-func (m *Manager) NumNodes() int { return len(m.nodes) }
+func (m *Manager) NumNodes() int { return len(m.levels) }
 
 // BuildStats is a point-in-time snapshot of the manager's construction
 // instrumentation. (Stats, by contrast, describes the structure of one
@@ -137,7 +166,7 @@ type BuildStats struct {
 // BuildStats returns the current construction instrumentation.
 func (m *Manager) BuildStats() BuildStats {
 	return BuildStats{
-		Nodes:           len(m.nodes),
+		Nodes:           len(m.levels),
 		UniqueTableHits: m.uniqueHits,
 		NodesCreated:    m.nodesCreated,
 		Reductions:      m.reduced,
@@ -147,23 +176,29 @@ func (m *Manager) BuildStats() BuildStats {
 }
 
 // Level returns the level of n, or NumVars() for terminals.
-func (m *Manager) Level(n Node) int { return int(m.nodes[n].level) }
+func (m *Manager) Level(n Node) int { return int(m.levels[n]) }
 
 // IsTerminal reports whether n is False or True.
 func (m *Manager) IsTerminal(n Node) bool { return n == False || n == True }
 
 // Kid returns the child of n for the given domain value.
 // n must not be a terminal.
-func (m *Manager) Kid(n Node, value int) Node {
-	nd := &m.nodes[n]
-	return m.kids[int(nd.kidsOff)+value]
+func (m *Manager) Kid(n Node, value int) Node { return Node(m.kid(int(n), value)) }
+
+// Kids returns the children of n in domain-value order, in a new
+// slice: a node stores only its distinct children and a slot map.
+func (m *Manager) Kids(n Node) []Node {
+	out := make([]Node, 0, m.domains[m.levels[n]])
+	for v := range cap(out) {
+		out = append(out, m.Kid(n, v))
+	}
+	return out
 }
 
-// Kids returns the children of n in domain-value order. The returned
-// slice aliases manager storage and must not be modified.
-func (m *Manager) Kids(n Node) []Node {
-	nd := &m.nodes[n]
-	return m.kids[nd.kidsOff : int(nd.kidsOff)+int(m.domains[nd.level])]
+// Capacity returns the nodes and the per-value child entries (the sum
+// of the nodes' domain sizes) the arena has room for, used or not.
+func (m *Manager) Capacity() (nodes, values int) {
+	return cap(m.levels), cap(m.slots8) + cap(m.slots16)
 }
 
 func (m *Manager) resizeBuckets(n int) {
@@ -171,24 +206,24 @@ func (m *Manager) resizeBuckets(n int) {
 	for i := range m.buckets {
 		m.buckets[i] = nilIdx
 	}
-	for i := 2; i < len(m.nodes); i++ {
-		b := m.hashNode(m.nodes[i].level, m.kidsAt(int32(i)))
-		m.nodes[i].next = m.buckets[b]
+	for i := 2; i < len(m.levels); i++ {
+		b := m.chain[i].hash & uint32(n-1)
+		m.chain[i].next = m.buckets[b]
 		m.buckets[b] = int32(i)
 	}
 }
 
-func (m *Manager) kidsAt(idx int32) []Node {
-	nd := &m.nodes[idx]
-	return m.kids[nd.kidsOff : int(nd.kidsOff)+int(m.domains[nd.level])]
-}
-
-func (m *Manager) hashNode(level int32, kids []Node) uint32 {
+// hashNode hashes a node's compact form: equal nodes have equal
+// distinct-child lists and slot maps.
+func hashNode[S slot](level int32, dk []int32, sl []S) uint32 {
 	h := uint32(level)*0x9e3779b1 + 0x85ebca77
-	for _, k := range kids {
+	for _, k := range dk {
 		h ^= uint32(k) + 0x9e3779b9 + (h << 6) + (h >> 2)
 	}
-	return h & uint32(len(m.buckets)-1)
+	for _, s := range sl {
+		h ^= uint32(s) + 0x9e3779b9 + (h << 6) + (h >> 2)
+	}
+	return h
 }
 
 type errLimitPanic struct{}
@@ -206,46 +241,46 @@ func (m *Manager) guard(err *error) {
 // mk returns the canonical node at level with the given children,
 // applying the MDD reduction rule.
 func (m *Manager) mk(level int32, kids []Node) Node {
-	allEq := true
-	for _, k := range kids[1:] {
-		if k != kids[0] {
-			allEq = false
-			break
-		}
+	if len(m.pos) < len(m.levels) {
+		m.pos = slices.Grow(m.pos, len(m.levels)-len(m.pos))[:len(m.levels)]
 	}
-	if allEq {
+	if m.wide {
+		return mkSlots(m, level, kids, &m.slots16, &m.sl16)
+	}
+	return mkSlots(m, level, kids, &m.slots8, &m.sl8)
+}
+
+// mkSlots is mk over the manager's slot maps, slots, with sl as the
+// scratch slot map of the node being made.
+func mkSlots[S slot](m *Manager, level int32, kids []Node, slots, sl *[]S) Node {
+	*sl = slices.Grow((*sl)[:0], len(kids))[:len(kids)]
+	m.dk, _ = compactKids(kids, len(m.levels), m.pos, m.dk[:0], *sl)
+	dk := m.dk
+	if len(dk) == 1 {
 		m.reduced++
 		return kids[0]
 	}
-	b := m.hashNode(level, kids)
-	for i := m.buckets[b]; i != nilIdx; i = m.nodes[i].next {
-		nd := &m.nodes[i]
-		if nd.level != level {
-			continue
-		}
-		have := m.kidsAt(i)
-		same := true
-		for j := range kids {
-			if have[j] != kids[j] {
-				same = false
-				break
-			}
-		}
-		if same {
+	h := hashNode(level, dk, *sl)
+	b := h & uint32(len(m.buckets)-1)
+	for i := m.buckets[b]; i != nilIdx; i = m.chain[i].next {
+		if m.chain[i].hash == h && m.levels[i] == level && slices.Equal(m.distinct(int(i)), dk) &&
+			slices.Equal((*slots)[m.slotOff[i]:int(m.slotOff[i])+len(kids)], *sl) {
 			m.uniqueHits++
 			return Node(i)
 		}
 	}
-	if m.limit > 0 && len(m.nodes) >= m.limit {
+	if m.limit > 0 && len(m.levels) >= m.limit {
 		panic(errLimitPanic{})
 	}
 	m.nodesCreated++
-	off := int32(len(m.kids))
-	m.kids = append(m.kids, kids...)
-	idx := int32(len(m.nodes))
-	m.nodes = append(m.nodes, mnode{level: level, kidsOff: off, next: m.buckets[b]})
+	idx := int32(len(m.levels))
+	m.levels = append(m.levels, level)
+	m.slotOff = append(m.slotOff, int32(len(*slots)))
+	*slots = append(*slots, *sl...)
+	m.appendDistinct(dk, m.nextKidPage())
+	m.chain = append(m.chain, chainLink{next: m.buckets[b], hash: h})
 	m.buckets[b] = idx
-	if len(m.nodes) > 2*len(m.buckets) {
+	if len(m.levels) > 2*len(m.buckets) {
 		m.resizeBuckets(2 * len(m.buckets))
 	}
 	return Node(idx)
@@ -262,11 +297,11 @@ func (m *Manager) MkNode(level int, kids []Node) (Node, error) {
 		return False, fmt.Errorf("mdd: level %d wants %d children, got %d", level, m.domains[level], len(kids))
 	}
 	for _, k := range kids {
-		if int(k) < 0 || int(k) >= len(m.nodes) {
+		if int(k) < 0 || int(k) >= len(m.levels) {
 			return False, fmt.Errorf("mdd: child handle %d out of range", k)
 		}
-		if k > True && m.nodes[k].level <= int32(level) {
-			return False, fmt.Errorf("mdd: child at level %d violates ordering under parent level %d", m.nodes[k].level, level)
+		if k > True && m.levels[k] <= int32(level) {
+			return False, fmt.Errorf("mdd: child at level %d violates ordering under parent level %d", m.levels[k], level)
 		}
 	}
 	var out Node
@@ -278,31 +313,75 @@ func (m *Manager) MkNode(level int, kids []Node) (Node, error) {
 	return out, err
 }
 
-// Reserve makes room for nodes more nodes holding kids more child
-// entries in all: the arena grows to exactly that size and the unique
-// table to the size it would reach, so inserting that many nodes
-// neither reallocates nor rehashes. Under a node limit the reservation
-// is cut to the nodes the limit still allows, and kids in proportion,
-// so the arena never grows past what the limit admits.
-func (m *Manager) Reserve(nodes, kids int) {
-	if room := m.limit - len(m.nodes); m.limit > 0 && nodes > room {
+// reservation returns what Reserve(nodes, values) adds: the nodes and
+// slot-map entries the node limit still admits, and the unique table's
+// new bucket count (0 when it keeps its size).
+func (m *Manager) reservation(nodes, values int) (int, int, int) {
+	if room := m.limit - len(m.levels); m.limit > 0 && nodes > room {
 		room = max(room, 0)
-		kids = int(int64(kids) * int64(room) / int64(nodes))
+		values = int(int64(values) * int64(room) / int64(nodes))
 		nodes = room
 	}
-	if need := len(m.nodes) + nodes; need > cap(m.nodes) {
-		m.nodes = append(make([]mnode, 0, need), m.nodes...)
-	}
-	if need := len(m.kids) + kids; need > cap(m.kids) {
-		m.kids = append(make([]Node, 0, need), m.kids...)
-	}
 	b := len(m.buckets)
-	for len(m.nodes)+nodes > 2*b {
+	for len(m.levels)+nodes > 2*b {
 		b *= 2
 	}
-	if b > len(m.buckets) {
+	if b == len(m.buckets) {
+		b = 0
+	}
+	return nodes, values, b
+}
+
+// Reserve makes room for nodes more nodes holding values more slot-map
+// entries in all (the sum of their domain sizes): the per-node arrays
+// and the slot maps grow to exactly that size and the unique table to
+// the size it would reach, so inserting that many nodes neither
+// reallocates them nor rehashes. The distinct children are not
+// reserved: there are usually far fewer of them than values, and their
+// number is known only once the nodes are made, so they grow in pages.
+// Under a node limit the reservation is cut to the nodes the
+// limit still allows, and values in proportion, so the arena never
+// grows past what the limit admits.
+func (m *Manager) Reserve(nodes, values int) {
+	nodes, values, b := m.reservation(nodes, values)
+	m.levels = grow(m.levels, nodes)
+	m.kidEnd = grow(m.kidEnd, nodes)
+	m.slotOff = grow(m.slotOff, nodes)
+	m.chain = grow(m.chain, nodes)
+	m.pos = grow(m.pos, len(m.levels)+nodes-len(m.pos))
+	if m.wide {
+		m.slots16 = grow(m.slots16, values)
+	} else {
+		m.slots8 = grow(m.slots8, values)
+	}
+	if b > 0 {
 		m.resizeBuckets(b)
 	}
+}
+
+// grow returns s with room for exactly n more elements, or s itself
+// when it has the room already.
+func grow[T any](s []T, n int) []T {
+	if need := len(s) + n; need > cap(s) {
+		return append(make([]T, 0, need), s...)
+	}
+	return s
+}
+
+// ReserveBytes bounds the bytes that nodes more nodes holding values
+// more slot-map entries take: what Reserve(nodes, values) allocates if
+// the arena has no spare room — 24 bytes per node (level, child end,
+// slot offset, bucket link and hash, compaction scratch), the slot
+// maps and the unique table it grows to — plus the pages of their
+// distinct children, at most one int32 per value. A caller about to
+// reserve can weigh that against the heap first.
+func (m *Manager) ReserveBytes(nodes, values int) int {
+	nodes, values, b := m.reservation(nodes, values)
+	width := 1
+	if m.wide {
+		width = 2
+	}
+	return 24*(len(m.levels)+nodes) + width*(m.numValues()+values) + 4*b + 4*values
 }
 
 // Build runs fn, which creates nodes through mk, under one node-limit
@@ -408,7 +487,7 @@ func (m *Manager) apply(op opKind, a, b Node, memo map[applyKey]Node) Node {
 		return r
 	}
 	m.memoMisses++
-	la, lb := m.nodes[a].level, m.nodes[b].level
+	la, lb := m.levels[a], m.levels[b]
 	top := la
 	if lb < top {
 		top = lb
@@ -491,12 +570,11 @@ func (m *Manager) notRec(a Node, memo map[Node]Node) Node {
 	if r, ok := memo[a]; ok {
 		return r
 	}
-	old := m.Kids(a)
-	kids := make([]Node, len(old))
-	for i, k := range old {
+	kids := m.Kids(a)
+	for i, k := range kids {
 		kids[i] = m.notRec(k, memo)
 	}
-	r := m.mk(m.nodes[a].level, kids)
+	r := m.mk(m.levels[a], kids)
 	memo[a] = r
 	return r
 }
@@ -505,8 +583,7 @@ func (m *Manager) notRec(a Node, memo map[Node]Node) Node {
 // (assign[level] is the value of the variable at that level).
 func (m *Manager) Eval(n Node, assign []int) (bool, error) {
 	for !m.IsTerminal(n) {
-		nd := &m.nodes[n]
-		lv := int(nd.level)
+		lv := int(m.levels[n])
 		if lv >= len(assign) {
 			return false, fmt.Errorf("mdd: assignment too short: need level %d, have %d values", lv, len(assign))
 		}
@@ -523,7 +600,7 @@ func (m *Manager) Eval(n Node, assign []int) (bool, error) {
 // including the terminals it reaches. The visited set is allocated per
 // call, so concurrent Size calls on a fully built manager are safe.
 func (m *Manager) Size(n Node) int {
-	return m.sizeRec(n, make([]bool, len(m.nodes)))
+	return m.sizeRec(n, make([]bool, len(m.levels)))
 }
 
 func (m *Manager) sizeRec(n Node, seen []bool) int {
@@ -535,8 +612,8 @@ func (m *Manager) sizeRec(n Node, seen []bool) int {
 		return 1
 	}
 	total := 1
-	for _, k := range m.Kids(n) {
-		total += m.sizeRec(k, seen)
+	for _, k := range m.distinct(int(n)) {
+		total += m.sizeRec(Node(k), seen)
 	}
 	return total
 }
@@ -546,7 +623,7 @@ func (m *Manager) sizeRec(n Node, seen []bool) int {
 func (m *Manager) DOT(n Node, title string, names []string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "digraph %q {\n", title)
-	m.dotRec(n, make([]bool, len(m.nodes)), names, &sb)
+	m.dotRec(n, make([]bool, len(m.levels)), names, &sb)
 	sb.WriteString("}\n")
 	return sb.String()
 }
@@ -560,29 +637,23 @@ func (m *Manager) dotRec(n Node, seen []bool, names []string, sb *strings.Builde
 		fmt.Fprintf(sb, "  n%d [shape=box label=\"%d\"];\n", n, n)
 		return
 	}
-	lv := int(m.nodes[n].level)
+	lv := int(m.levels[n])
 	label := fmt.Sprintf("x%d", lv)
 	if lv < len(names) && names[lv] != "" {
 		label = names[lv]
 	}
 	fmt.Fprintf(sb, "  n%d [shape=circle label=%q];\n", n, label)
-	// Group values sharing a child on one edge, as the paper draws them.
-	byKid := make(map[Node][]int)
-	for v, k := range m.Kids(n) {
-		byKid[k] = append(byKid[k], v)
-	}
-	for _, k := range m.Kids(n) {
-		vals, ok := byKid[k]
-		if !ok {
-			continue
-		}
-		delete(byKid, k)
-		lbl := make([]string, len(vals))
-		for i, v := range vals {
-			lbl[i] = fmt.Sprintf("%d", v)
+	// One edge per distinct child, labeled with the values sharing it,
+	// as the paper draws them.
+	for j, k := range m.distinct(int(n)) {
+		var lbl []string
+		for v := range int(m.domains[lv]) {
+			if m.slotOf(int(n), v) == j {
+				lbl = append(lbl, fmt.Sprintf("%d", v))
+			}
 		}
 		fmt.Fprintf(sb, "  n%d -> n%d [label=%q];\n", n, k, strings.Join(lbl, ","))
-		m.dotRec(k, seen, names, sb)
+		m.dotRec(Node(k), seen, names, sb)
 	}
 }
 

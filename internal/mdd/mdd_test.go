@@ -13,6 +13,12 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New([]int{3, 1}); err == nil {
 		t.Error("domain of size 1 accepted")
 	}
+	if _, err := New([]int{3, MaxDomain + 1}); err == nil {
+		t.Errorf("domain of size %d accepted", MaxDomain+1)
+	}
+	if _, err := New([]int{3, MaxDomain}); err != nil {
+		t.Errorf("domain of size %d: %v", MaxDomain, err)
+	}
 	m, err := New([]int{3, 2, 4})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -549,7 +555,7 @@ func TestBuildGuardsNodeLimit(t *testing.T) {
 
 // TestReserveRespectsNodeLimit checks that under a node limit Reserve
 // grows the arena only to the nodes the limit still admits, with the
-// child array cut in proportion, and not at all once the limit is
+// slot maps cut in proportion, and not at all once the limit is
 // reached.
 func TestReserveRespectsNodeLimit(t *testing.T) {
 	m := MustNew([]int{3, 3, 3}, WithNodeLimit(10))
@@ -558,16 +564,17 @@ func TestReserveRespectsNodeLimit(t *testing.T) {
 	}
 	used := m.NumNodes()
 	m.Reserve(1000, 3000)
-	if cap(m.nodes) > 10 {
-		t.Errorf("node arena capacity %d after Reserve, beyond the limit 10", cap(m.nodes))
+	nodes, values := m.Capacity()
+	if nodes > 10 {
+		t.Errorf("node arena capacity %d after Reserve, beyond the limit 10", nodes)
 	}
-	if want := len(m.kids) + 3000*(10-used)/1000; cap(m.kids) > want {
-		t.Errorf("child array capacity %d after Reserve, want at most %d", cap(m.kids), want)
+	if want := m.numValues() + 3000*(10-used)/1000; values > want {
+		t.Errorf("slot-map capacity %d after Reserve, want at most %d", values, want)
 	}
 	full := MustNew([]int{2}, WithNodeLimit(2))
-	nodes, kids := cap(full.nodes), cap(full.kids)
+	nodes, values = full.Capacity()
 	full.Reserve(1000, 2000)
-	if cap(full.nodes) != nodes || cap(full.kids) != kids {
-		t.Errorf("Reserve at the limit grew the arena from %d/%d to %d/%d", nodes, kids, cap(full.nodes), cap(full.kids))
+	if n, v := full.Capacity(); n != nodes || v != values {
+		t.Errorf("Reserve at the limit grew the arena from %d/%d to %d/%d", nodes, values, n, v)
 	}
 }

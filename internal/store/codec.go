@@ -98,9 +98,11 @@ const (
 	// maxComponents is a format limit on the component count. Unlike
 	// the arrays, C is a bare scalar the input pays nothing for, yet
 	// restoring a model allocates O(C) — so a hostile file could
-	// otherwise declare 2³⁰ components in five bytes. A million is far
-	// beyond any SoC model and keeps the worst-case restore bounded.
-	maxComponents = 1 << 20
+	// otherwise declare 2³⁰ components in five bytes. A v level of the
+	// ROMDD has one value per component, and mdd caps a domain at
+	// mdd.MaxDomain (65,536) values; the format stays one below. That is
+	// far beyond any SoC model and keeps the worst-case restore bounded.
+	maxComponents = mdd.MaxDomain - 1
 )
 
 // castagnoli is the CRC-32C table (the polynomial with hardware
@@ -124,10 +126,16 @@ func Encode(snap *yield.Snapshot) ([]byte, error) {
 	if snap.Components > maxComponents {
 		return nil, fmt.Errorf("store: %d components exceeds the format limit %d", snap.Components, maxComponents)
 	}
-	data := snap.Frozen.Data()
+	// The children are expanded node by node into the one-per-value
+	// form of mdd.FrozenData, never all at once.
+	data := snap.Frozen.Shape()
+	values := 0
+	for _, lv := range data.Levels[2:] {
+		values += int(data.Domains[lv])
+	}
 
 	buf := make([]byte, 0, 64+len(snap.ModelKey)+len(snap.SystemName)+
-		binary.MaxVarintLen32*(len(snap.GroupSeq)+len(data.Domains)+len(data.Levels)+len(data.Kids)))
+		binary.MaxVarintLen32*(len(snap.GroupSeq)+len(data.Domains)+len(data.Levels)+values))
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
 	buf = binary.AppendUvarint(buf, uint64(snap.EngineRevision))
@@ -156,9 +164,13 @@ func Encode(snap *yield.Snapshot) ([]byte, error) {
 	for _, lv := range data.Levels[2:] {
 		buf = binary.AppendUvarint(buf, uint64(lv))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(data.Kids)))
-	for _, k := range data.Kids {
-		buf = binary.AppendUvarint(buf, uint64(k))
+	buf = binary.AppendUvarint(buf, uint64(values))
+	var kids []int32
+	for i := 2; i < len(data.Levels); i++ {
+		kids = snap.Frozen.AppendKids(kids[:0], i)
+		for _, k := range kids {
+			buf = binary.AppendUvarint(buf, uint64(k))
+		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(data.Root))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))

@@ -8,8 +8,53 @@ import (
 	"testing"
 
 	"socyield/internal/defects"
+	"socyield/internal/mdd"
 	"socyield/internal/yield"
 )
+
+// rawModel encodes a model in the store format around arbitrary arena
+// data, bypassing Encode's validation: components C, truncation point
+// m, group sequence 0..m, zero build scalars but an ROMDD size of 1,
+// the size of a terminal root.
+func rawModel(c, m int, d mdd.FrozenData) []byte {
+	buf := binary.LittleEndian.AppendUint32([]byte(magic), FormatVersion)
+	buf = binary.AppendUvarint(buf, uint64(yield.EngineRevision))
+	buf = appendString(buf, "")
+	buf = appendString(buf, "raw")
+	buf = binary.AppendUvarint(buf, uint64(c))
+	buf = binary.AppendUvarint(buf, uint64(m))
+	buf = append(buf, make([]byte, 4*8)...)  // yield, bound, P_L, λ'
+	for _, v := range []uint64{0, 0, 0, 1} { // G gates, binary vars, sizes
+		buf = binary.AppendUvarint(buf, v)
+	}
+	buf = binary.AppendUvarint(buf, uint64(m+1))
+	for gi := range m + 1 {
+		buf = binary.AppendUvarint(buf, uint64(gi))
+	}
+	for _, arr := range [][]int32{d.Domains, d.Levels[2:], d.Kids} {
+		buf = binary.AppendUvarint(buf, uint64(len(arr)))
+		for _, x := range arr {
+			buf = binary.AppendUvarint(buf, uint64(x))
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(d.Root))
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+}
+
+// TestDecodeRejectsOversizedDomain checks that a model declaring a
+// domain beyond mdd.MaxDomain decodes to ErrCorrupt, and that the same
+// bytes with a legal domain decode.
+func TestDecodeRejectsOversizedDomain(t *testing.T) {
+	arena := func(dom int32) mdd.FrozenData {
+		return mdd.FrozenData{Domains: []int32{3, dom}, Levels: []int32{2, 2}, Root: 1}
+	}
+	if _, err := Decode(rawModel(3, 1, arena(mdd.MaxDomain+1))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("domain %d: error %v, want ErrCorrupt", mdd.MaxDomain+1, err)
+	}
+	if _, err := Decode(rawModel(3, 1, arena(3))); err != nil {
+		t.Errorf("legal model: %v", err)
+	}
+}
 
 // FuzzFrozenDecode hammers Decode with arbitrary bytes. The contract
 // under fuzzing:
@@ -68,6 +113,9 @@ func FuzzFrozenDecode(f *testing.F) {
 			f.Add(mut)
 		}
 	}
+	// A model whose v level has one value more than an ROMDD domain may
+	// hold (mdd.MaxDomain): the compaction must refuse it.
+	f.Add(rawModel(3, 1, mdd.FrozenData{Domains: []int32{3, mdd.MaxDomain + 1}, Levels: []int32{2, 2}, Root: 1}))
 	f.Add([]byte(nil))
 	f.Add([]byte(magic))
 	f.Add([]byte("SYCM\x01\x00\x00\x00"))

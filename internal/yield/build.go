@@ -39,9 +39,10 @@ type model struct {
 // inside that phase's span and timing, so the phase spans account for
 // the whole build.
 //
-// Between compile and convert, reclaim may collect the tables the
-// compile released, so that the conversion allocates in memory the
-// build already holds (see reclaim).
+// Once the conversion's sizing walk knows what the ROMDD will take,
+// reclaim may collect the tables the compile released, so that the
+// conversion allocates in memory the build already holds (see
+// reclaim).
 //
 // An error before compilation returns the zero model. A compile or
 // convert error returns the model with res consistently filled up to
@@ -114,7 +115,6 @@ func build(parent *obs.Span, sys *System, opts Options) (model, error) {
 		res.Phases.Convert = time.Since(t0)
 		sp.End()
 	}()
-	res.Stats.Heap.Reclaimed, res.Stats.Heap.AfterReclaim = reclaim(res.Stats.Heap.Released)
 	groupOf, bitOf := groupMeta(g)
 	spec, err := convert.SpecFromPlanLevels(plan.BinaryLevels, groupOf, bitOf, plan.GroupSeq, g.Domains())
 	if err != nil {
@@ -124,7 +124,12 @@ func build(parent *obs.Span, sys *System, opts Options) (model, error) {
 	if err != nil {
 		return md, err
 	}
-	mroot, err := convert.ToMDDWithStats(bm, broot, mm, spec, &res.Stats.Convert, convert.WithBuildState(bs))
+	heap := &res.Stats.Heap
+	mroot, err := convert.ToMDDWithStats(bm, broot, mm, spec, &res.Stats.Convert, convert.WithBuildState(bs),
+		convert.BeforeReserve(func(bytes int) {
+			heap.Reserved = uint64(bytes)
+			heap.Reclaimed, heap.Rest, heap.AfterReclaim = reclaim(heap.Released, heap.Reserved)
+		}))
 	res.Stats.MDD = mm.BuildStats()
 	res.Stats.ConvertPeakLive = bm.PeakLive()
 	res.ROBDDPeak = max(res.ROBDDPeak, res.Stats.ConvertPeakLive)
@@ -132,7 +137,8 @@ func build(parent *obs.Span, sys *System, opts Options) (model, error) {
 		return md, fmt.Errorf("yield: converting to ROMDD: %w", err)
 	}
 	md.frozen = mm.Freeze(mroot)
-	res.Stats.Heap.ConvertEnd = readHeap()
+	heap.ConvertEnd = readHeap()
+	heap.FrozenBytes = uint64(md.frozen.Bytes())
 	ms := md.frozen.ComputeStats()
 	res.ROMDDSize = ms.Nodes
 	res.Stats.ROMDDPerLevel = ms.PerLevel
@@ -151,29 +157,44 @@ func readHeap() uint64 {
 	return s[0].Value.Uint64()
 }
 
-// reclaim runs one collection when the released bytes, garbage since
-// Release, are at least GOGC percent of the rest of the heap: the ratio
-// at which the runtime starts a cycle of its own, read rather than
-// chosen. Collecting then lets the conversion reuse the tables' memory
-// instead of taking fresh pages on top of them. In a heap that holds
-// much more, such as a server's cached models, the tables are a small
-// share and the runtime's pacing is left alone; with GOGC=off nothing
-// is collected. It reports whether it collected and the heap
-// afterwards.
+// reclaim runs one collection when the conversion can take its memory
+// out of the tables the compile released: when the released bytes,
+// garbage since Release, plus the bytes the conversion may take (the
+// sizing walk's bound, mdd.Manager.ReserveBytes) are at least GOGC
+// percent of the rest of the heap. Past that point the heap the build
+// ends with is more than a fresh mark of the rest would let grow before
+// the runtime's next cycle: without one, the conversion's arrays land
+// on fresh pages on top of the garbage and the runtime collects later
+// anyway. The ratio is the runtime's, read rather than chosen. In a
+// heap that holds much more, such as a server's cached models, both are
+// a small share and the runtime's pacing is left alone; with GOGC=off
+// nothing is collected. It reports whether it collected, the rest of
+// the heap it weighed, and the heap afterwards.
 //
 // The rest of the heap is the live heap the last cycle marked, less
 // the tables, which were live then. Heap-object bytes would overstate
 // it by the garbage not yet swept: on ESEN8x2 the unique tables and
-// caches that compile growths superseded, about 11 MB, enough to tip
-// 51 MB of tables under the rule.
-func reclaim(released uint64) (bool, uint64) {
+// caches that compile growths superseded, about 11 MB.
+//
+// The tables alone no longer decide. Since the reference counts and
+// traversal stamps left the BDD manager, ESEN8x2 releases 33.9 MB
+// against a rest of 43.4 MB, below the threshold; its conversion is
+// bounded by 93.4 MB (25.3 MB reserved, at most 68.0 MB of distinct
+// children, of which it takes 8.0 MB).
+func reclaim(released, reserved uint64) (collected bool, rest, after uint64) {
 	s := [2]metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/gogc:percent"}}
 	metrics.Read(s[:])
 	live, gogc := s[0].Value.Uint64(), int64(s[1].Value.Uint64())
-	rest := live - min(live, released)
-	if gogc < 0 || float64(released)*100 < float64(gogc)*float64(rest) {
-		return false, readHeap()
+	rest = live - min(live, released)
+	if !reclaimDue(released, reserved, rest, gogc) {
+		return false, rest, readHeap()
 	}
 	runtime.GC()
-	return true, readHeap()
+	return true, rest, readHeap()
+}
+
+// reclaimDue is reclaim's rule: collect when released + reserved bytes
+// are at least gogc percent of rest, never when gogc is negative (off).
+func reclaimDue(released, reserved, rest uint64, gogc int64) bool {
+	return gogc >= 0 && float64(released+reserved)*100 >= float64(gogc)*float64(rest)
 }

@@ -7,3 +7,14 @@ var CheckConversionLayout = checkConversionLayout
 
 // AllMVKinds and AllBitKinds list every MV and bit ordering.
 var AllMVKinds, AllBitKinds = allMVKinds, allBitKinds
+
+// BuildDirectMDD, FlatFreeze and CheckCompactPasses are buildDirectMDD,
+// flatFreeze and checkCompactPasses.
+var (
+	BuildDirectMDD     = buildDirectMDD
+	FlatFreeze         = flatFreeze
+	CheckCompactPasses = checkCompactPasses
+)
+
+// ReclaimDue is reclaimDue.
+var ReclaimDue = reclaimDue

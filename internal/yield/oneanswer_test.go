@@ -2,6 +2,7 @@ package yield_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"socyield/internal/benchmarks"
@@ -91,5 +92,32 @@ func TestConversionLayoutBenchmarkSystems(t *testing.T) {
 				yield.CheckConversionLayout(t, fmt.Sprintf("%s under %v/%v", bench, mv, bits), sys, opts)
 			}
 		}
+	}
+}
+
+// TestCompactMatchesFlatLayoutBenchmarks checks the ROMDDs of MS2, MS4
+// and ESEN4x1/4x2/4x4, built under the reproduction defaults, against
+// the flat one-child-per-value layout and its passes.
+func TestCompactMatchesFlatLayoutBenchmarks(t *testing.T) {
+	dist, err := defects.NewNegativeBinomial(2, 3.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for _, bench := range []string{"MS2", "MS4", "ESEN4x1", "ESEN4x2", "ESEN4x4"} {
+		sys, err := benchmarks.ByName(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := yield.NewReevaluator(sys, yield.Options{Defects: dist, Epsilon: 2e-3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := re.Snapshot()
+		dm, droot, err := yield.BuildDirectMDD(sys.FaultTree, snap.M, len(sys.Components), snap.GroupSeq, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		yield.CheckCompactPasses(t, bench, snap.Frozen, yield.FlatFreeze(dm, droot), rng)
 	}
 }

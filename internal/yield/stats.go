@@ -56,10 +56,19 @@ type HeapStats struct {
 	CompileEnd   uint64
 	AfterReclaim uint64
 	ConvertEnd   uint64
-	// Released is the bytes bdd.Manager.Release dropped.
+	// Released is the bytes bdd.Manager.Release dropped, Reserved the
+	// bound the conversion's sizing walk put on the bytes of the ROMDD
+	// (its reservation plus at most one distinct child per value), and
+	// Rest the rest of the live heap the reclaim weighed their sum
+	// against.
 	Released uint64
+	Reserved uint64
+	Rest     uint64
 	// Reclaimed reports whether the build collected before converting.
 	Reclaimed bool
+	// FrozenBytes is the bytes the frozen ROMDD holds: what the built
+	// model costs while it is cached.
+	FrozenBytes uint64
 }
 
 // publish flushes the engine stats into a metrics registry. Counter
@@ -111,6 +120,7 @@ func (s *EngineStats) publish(rec *obs.Registry) {
 		if s.Heap.Reclaimed {
 			reclaims.Add(1)
 		}
+		rec.Gauge("mdd.frozen_bytes").Set(int64(s.Heap.FrozenBytes))
 	}
 }
 
