@@ -176,11 +176,13 @@ func readHeap() uint64 {
 // it by the garbage not yet swept: on ESEN8x2 the unique tables and
 // caches that compile growths superseded, about 11 MB.
 //
-// The tables alone no longer decide. Since the reference counts and
-// traversal stamps left the BDD manager, ESEN8x2 releases 33.9 MB
-// against a rest of 43.4 MB, below the threshold; its conversion is
-// bounded by 93.4 MB (25.3 MB reserved, at most 68.0 MB of distinct
-// children, of which it takes 8.0 MB).
+// The conversion's bytes join the tables because the tables alone no
+// longer decide: ESEN8x2 releases 33.9 MB against a rest of 43.4 MB.
+// Its distinct children are counted only as the conversion makes
+// them, so reserved carries the sizing walk's bound on them, one int32
+// per value, and the rule errs toward a collection, not toward the
+// peak. With the reservation alone MS6 (33.7 + 7.1 MB against 43.5 MB)
+// would convert on top of its released tables.
 func reclaim(released, reserved uint64) (collected bool, rest, after uint64) {
 	s := [2]metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/gogc:percent"}}
 	metrics.Read(s[:])
