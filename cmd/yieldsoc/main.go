@@ -26,6 +26,12 @@
 // -sweep evaluates the yield for each listed λ on one shared ROMDD
 // (built once), fanning the points out over -workers goroutines.
 //
+// -reliability evaluates the operational reliability at each listed
+// mission time, with exponential field failures at -frate per
+// component. It compiles the fault tree's own ROBDD once and runs one
+// pass per time point; -mv and -bits order the paper's coded ROBDD and
+// do not apply to it.
+//
 // -save-model FILE persists the compiled model (the expensive build
 // artifact) in the versioned binary format of internal/store;
 // -load-model FILE restores it in milliseconds and evaluates
@@ -403,8 +409,7 @@ func run() error {
 			lts[i] = reliability.Exponential{Rate: *fRate}
 		}
 		curve, err := reliability.Curve(sys, reliability.Options{
-			Defects: dist, Epsilon: *eps, Lifetimes: lts,
-			MVOrder: mv, BitOrder: bits, NodeLimit: *nodeLimit,
+			Defects: dist, Epsilon: *eps, Lifetimes: lts, NodeLimit: *nodeLimit,
 		}, times)
 		if err != nil {
 			return err

@@ -63,14 +63,14 @@ func main() {
 	// more dies escape defect-free, so yield rises — the classic
 	// negative-binomial effect the paper's model family captures.
 
-	// Exact cross-check (C = 8 is small enough for inclusion–exclusion).
+	// Exact cross-check by the DP over the fault tree's own ROBDD.
 	dist, _ := socyield.NewNegativeBinomial(2, 0.25)
 	exact, err := socyield.BruteForce(sys, socyield.Options{Defects: dist, Epsilon: 1e-4})
 	if err != nil {
 		log.Fatal(err)
 	}
 	method, _ := socyield.Evaluate(sys, socyield.Options{Defects: dist, Epsilon: 1e-4})
-	fmt.Printf("\nbrute-force check at α=0.25: |Δ| = %.2e\n", abs(exact.Yield-method.Yield))
+	fmt.Printf("\nexact DP check at α=0.25: |Δ| = %.2e\n", abs(exact.Yield-method.Yield))
 
 	// Mission reliability of the sellable bin over 5 years.
 	lts := make([]socyield.Lifetime, len(sys.Components))

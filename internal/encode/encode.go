@@ -63,21 +63,9 @@ func bitsFor(maxValue int) int {
 // are, in declaration order, the failed-state variables x_1 … x_C of
 // the C components. M ≥ 0 is the truncation point.
 func BuildG(f *logic.Netlist, m int) (*GFunc, error) {
-	return BuildGPartial(f, f.NumInputs(), m)
-}
-
-// BuildGPartial synthesizes G when only the first c declared inputs of
-// f are defect-addressable components; any remaining inputs are copied
-// into the G netlist as free binary variables (same names, declared
-// after the encoding groups). This supports extensions — such as the
-// operational-reliability evaluation — that mix the defect model with
-// additional independent binary events.
-func BuildGPartial(f *logic.Netlist, c, m int) (*GFunc, error) {
+	c := f.NumInputs()
 	if c < 2 {
-		return nil, fmt.Errorf("encode: %d defect-addressable components, need at least 2", c)
-	}
-	if c > f.NumInputs() {
-		return nil, fmt.Errorf("encode: %d components but fault tree has only %d inputs", c, f.NumInputs())
+		return nil, fmt.Errorf("encode: %d components, need at least 2", c)
 	}
 	if m < 0 {
 		return nil, fmt.Errorf("encode: negative truncation point %d", m)
@@ -168,13 +156,6 @@ func BuildGPartial(f *logic.Netlist, c, m int) (*GFunc, error) {
 	}
 
 	// Copy F's gate DAG with inputs replaced by xSub.
-	// Passthrough inputs (ordinals ≥ c) are declared after the groups.
-	names := f.InputNames()
-	passthrough := make([]logic.GateID, f.NumInputs())
-	for ord := c; ord < f.NumInputs(); ord++ {
-		passthrough[ord] = n.Input(names[ord])
-	}
-
 	fOut := f.MustOutput()
 	mapTo := make(map[logic.GateID]logic.GateID, f.NumNodes())
 	var rc func(id logic.GateID) logic.GateID
@@ -186,11 +167,7 @@ func BuildGPartial(f *logic.Netlist, c, m int) (*GFunc, error) {
 		var to logic.GateID
 		switch gate.Kind {
 		case logic.InputKind:
-			if ord := f.InputOrdinal(id); ord < c {
-				to = xSub[ord]
-			} else {
-				to = passthrough[ord]
-			}
+			to = xSub[f.InputOrdinal(id)]
 		case logic.ConstKind:
 			to = n.Const(gate.Value)
 		default:

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
+
+	"socyield/internal/yield"
 )
 
 func TestTable1MatchesPaperInventory(t *testing.T) {
@@ -416,5 +421,61 @@ func TestAblationParallel(t *testing.T) {
 		if !r.DirectFailed && (!r.SizesAgree || !r.YieldsAgree) {
 			t.Errorf("%v: construction routes disagree", r.Case)
 		}
+	}
+}
+
+// TestTable4YieldsFromDP checks every one of the fifteen Table 4 rows
+// in results/table4.txt, paper route output, against the exact DP over
+// F's own ROBDD (yield.BruteForce): each DP yield must round to the
+// table's four-decimal yield, and M must match.
+func TestTable4YieldsFromDP(t *testing.T) {
+	data, err := os.ReadFile("../../results/table4.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := regexp.MustCompile(`\s{2,}`)
+	var header []string
+	rows := map[string][]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		f := cells.Split(strings.TrimSpace(line), -1)
+		switch {
+		case len(f) > 0 && f[0] == "case":
+			header = f
+		case header != nil && len(f) == len(header):
+			rows[f[0]] = f
+		}
+	}
+	col := func(name string) int {
+		for i, h := range header {
+			if h == name {
+				return i
+			}
+		}
+		t.Fatalf("results/table4.txt has no %q column", name)
+		return -1
+	}
+	yc, mc := col("yield"), col("M")
+	cfg := Config{}.withDefaults()
+	for _, cs := range PaperCases() {
+		row, ok := rows[cs.String()]
+		if !ok {
+			t.Fatalf("results/table4.txt has no row %q", cs)
+		}
+		sys, err := buildSystem(cs.Benchmark)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist, err := distribution(cs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := yield.BruteForce(sys, yield.Options{Defects: dist, Epsilon: cfg.Epsilon})
+		if err != nil {
+			t.Fatalf("%v: %v", cs, err)
+		}
+		if got := fmt.Sprintf("%.4f", res.Yield); got != row[yc] || fmt.Sprint(res.M) != row[mc] {
+			t.Errorf("%v: DP yield %.17g (%s), M=%d; table %s, M=%s", cs, res.Yield, got, res.M, row[yc], row[mc])
+		}
+		t.Logf("%-14v M=%-2d %.17g", cs, res.M, res.Yield)
 	}
 }

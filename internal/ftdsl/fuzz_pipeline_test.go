@@ -60,16 +60,14 @@ func FuzzPipeline(f *testing.F) {
 		if res.Yield+res.ErrorBound > 1+1e-12 {
 			t.Fatalf("upper bound %v exceeds 1\nsource:\n%s", res.Yield+res.ErrorBound, src)
 		}
-		// Small systems additionally cross-check against the
-		// inclusion–exclusion reference.
-		if len(sys.Components) <= 6 {
-			bf, err := yield.BruteForce(sys, opts)
-			if err != nil {
-				t.Fatalf("BruteForce rejected what Evaluate accepted: %v\nsource:\n%s", err, src)
-			}
-			if diff := res.Yield - bf.Yield; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("pipeline %v vs inclusion–exclusion %v (diff %g)\nsource:\n%s", res.Yield, bf.Yield, diff, src)
-			}
+		// Every accepted system also cross-checks against the exact
+		// DP over the fault tree's own ROBDD.
+		bf, err := yield.BruteForce(sys, opts)
+		if err != nil {
+			t.Fatalf("BruteForce rejected what Evaluate accepted: %v\nsource:\n%s", err, src)
+		}
+		if diff := res.Yield - bf.Yield; diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("pipeline %v vs exact DP %v (diff %g)\nsource:\n%s", res.Yield, bf.Yield, diff, src)
 		}
 	})
 }

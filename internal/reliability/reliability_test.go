@@ -1,7 +1,9 @@
 package reliability
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"socyield/internal/defects"
@@ -237,12 +239,95 @@ func TestCurveStatsPopulated(t *testing.T) {
 	if res.M != 6 {
 		t.Errorf("M = %d, want 6", res.M)
 	}
-	if res.CodedROBDDSize <= 0 || res.ROBDDPeak < res.CodedROBDDSize {
-		t.Errorf("sizes: robdd=%d peak=%d", res.CodedROBDDSize, res.ROBDDPeak)
+	// 2-of-3 majority: one node on a, two on b, one on c, the terminal.
+	if res.ROBDDSize != 5 {
+		t.Errorf("ROBDD of F has %d nodes, want 5", res.ROBDDSize)
 	}
 	for _, pt := range res.Points {
 		if pt.ErrorBound <= 0 || pt.ErrorBound > 5e-3 {
 			t.Errorf("ErrorBound = %v", pt.ErrorBound)
+		}
+	}
+}
+
+// randomTree returns a random fault tree over c ≤ 8 components with
+// random lethalities summing to P_L ∈ (0.3, 0.9).
+func randomTree(rng *rand.Rand, c int) *yield.System {
+	f := logic.New()
+	pool := make([]logic.GateID, 0, c+10)
+	for i := 0; i < c; i++ {
+		pool = append(pool, f.Input(fmt.Sprintf("x%d", i)))
+	}
+	pick := func() logic.GateID { return pool[rng.Intn(len(pool))] }
+	for g := 0; g < 2+rng.Intn(9); g++ {
+		var id logic.GateID
+		switch rng.Intn(5) {
+		case 0:
+			id = f.Not(pick())
+		case 1:
+			id = f.And(pick(), pick())
+		case 2:
+			id = f.Or(pick(), pick(), pick())
+		case 3:
+			id = f.Xor(pick(), pick())
+		default:
+			id = f.AtLeast(2, pick(), pick(), pick())
+		}
+		pool = append(pool, id)
+	}
+	f.SetOutput(f.Or(pool[len(pool)-1], pick()))
+	sys := &yield.System{Name: "random", FaultTree: f}
+	raw := make([]float64, c)
+	sum := 0.0
+	for i := range raw {
+		raw[i] = 0.05 + rng.Float64()
+		sum += raw[i]
+	}
+	pl := 0.3 + 0.6*rng.Float64()
+	for i, r := range raw {
+		sys.Components = append(sys.Components, yield.Component{Name: fmt.Sprintf("x%d", i), P: pl * r / sum})
+	}
+	return sys
+}
+
+// TestCurveRandomTreesMatchEnumeration checks Curve against the
+// enumeration on random fault trees of 2 to 8 components with mixed
+// exponential and Weibull lifetimes.
+func TestCurveRandomTreesMatchEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(2417))
+	trees := 24
+	if testing.Short() {
+		trees = 8
+	}
+	for n := 0; n < trees; n++ {
+		c := 2 + rng.Intn(7)
+		sys := randomTree(rng, c)
+		lts := make([]Lifetime, c)
+		for i := range lts {
+			if rng.Intn(2) == 0 {
+				lts[i] = Exponential{Rate: 0.001 + 0.05*rng.Float64()}
+			} else {
+				lts[i] = Weibull{Scale: 5 + 100*rng.Float64(), Shape: 0.5 + 2.5*rng.Float64()}
+			}
+		}
+		var dist defects.Distribution = defects.Poisson{Lambda: 0.5 + rng.Float64()}
+		if rng.Intn(2) == 0 {
+			dist, _ = defects.NewNegativeBinomial(0.5+1.5*rng.Float64(), 0.5+3*rng.Float64())
+		}
+		eps := []float64{2e-2, 1e-2, 5e-3}[rng.Intn(3)]
+		times := []float64{0, 20 * rng.Float64(), 100 * rng.Float64(), 400}
+		res, err := Curve(sys, Options{Defects: dist, Epsilon: eps, Lifetimes: lts}, times)
+		if err != nil {
+			t.Fatalf("tree %d (C=%d, %v): Curve: %v", n, c, dist, err)
+		}
+		for _, pt := range res.Points {
+			want := refReliability(t, sys, dist, eps, pt.T, lts)
+			if math.Abs(pt.Reliability-want) > 1e-12 {
+				t.Errorf("tree %d (C=%d, %v, M=%d): R(%v) = %.17g, enumeration %.17g", n, c, dist, res.M, pt.T, pt.Reliability, want)
+			}
+		}
+		if res.Points[0].Reliability != res.YieldAtZero {
+			t.Errorf("tree %d: R(0) = %.17g, YieldAtZero %.17g", n, res.Points[0].Reliability, res.YieldAtZero)
 		}
 	}
 }

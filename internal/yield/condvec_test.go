@@ -39,7 +39,8 @@ func forwardProb(d mdd.FrozenData, probs [][]float64) float64 {
 
 // TestConditionalVectorOracle checks the split pass on the 50-tree
 // differential under every MV ordering. Its vector entry for W = k is
-// 1 − Y_k of the inclusion–exclusion oracle, and the entry for
+// 1 − Y_k of the Möbius reference and of the DP over F's own ROBDD
+// (CondFail), which agree with each other to 1e-13, and the entry for
 // W = M+1 is 1. The yield it gives equals the plain forward pass
 // exactly when W is on top (the root is then the only W node), is
 // within a few ulp of it otherwise, and is within 1e-12 of ExactYield.
@@ -87,9 +88,23 @@ func TestConditionalVectorOracle(t *testing.T) {
 		if len(g) != m+2 {
 			t.Fatalf("%s: vector has %d entries, want M+2 = %d", name, len(g), m+2)
 		}
+		cf, err := NewCondFail(sys, opts)
+		if err != nil {
+			t.Fatalf("%s: NewCondFail: %v", name, err)
+		}
+		dp := cf.Vector(nil)
+		if cf.M != m || len(dp) != m+1 {
+			t.Fatalf("%s: DP M=%d with %d entries, model M=%d", name, cf.M, len(dp), m)
+		}
 		for k := 0; k <= m; k++ {
 			if d := math.Abs(g[k] + s - (1 - yk[k])); d > 1e-12 {
 				t.Errorf("%s: entry %d is %.17g, 1 − Y_%d = %.17g", name, k, g[k]+s, k, 1-yk[k])
+			}
+			if d := math.Abs(dp[k] - (1 - yk[k])); d > 1e-13 {
+				t.Errorf("%s: DP entry %d is %.17g, Möbius 1 − Y_%d = %.17g", name, k, dp[k], k, 1-yk[k])
+			}
+			if d := math.Abs(g[k] + s - dp[k]); d > 1e-12 {
+				t.Errorf("%s: entry %d is %.17g, DP %.17g", name, k, g[k]+s, dp[k])
 			}
 		}
 		if r.wLevel == 0 && g[m+1]+s != 1 {
@@ -119,6 +134,61 @@ func TestConditionalVectorOracle(t *testing.T) {
 		}
 		if y, _, err := r.Yield(ps, opts.Defects); err != nil || y != r.Result.Yield {
 			t.Errorf("%s: Yield %v (%v), build-time yield %v", name, y, err, r.Result.Yield)
+		}
+	}
+}
+
+// TestCondFailZeroLethality checks the DP on systems with P_i = 0
+// components, which Validate allows: a component that no defect hits,
+// and levels below which no defect can land (q = 0), must still give
+// ExactYield's yield to 1e-12 and the Möbius reference's 1 − Y_k to
+// 1e-13.
+func TestCondFailZeroLethality(t *testing.T) {
+	systems := []*System{
+		seriesSystem(0.4, 0, 0),
+		seriesSystem(0, 0.3, 0.2),
+		tmrSystem(0.2, 0.3, 0),
+		tmrSystem(0, 0.2, 0),
+		parallelSystem(0.1, 0, 0.5),
+	}
+	rng := rand.New(rand.NewSource(2409))
+	for i := 0; i < 12; i++ {
+		sys := randomOracleSystem(rng, 3+rng.Intn(4))
+		for j := range sys.Components {
+			if j == 0 || rng.Intn(2) == 0 {
+				sys.Components[j].P = 0
+			}
+		}
+		if sys.PL() > 0 {
+			systems = append(systems, sys)
+		}
+	}
+	for i, sys := range systems {
+		opts := Options{Defects: nb(2, 2), Epsilon: 2e-3}
+		name := fmt.Sprintf("system %d (%s, P=%v)", i, sys.Name, sys.Components)
+		bf, err := BruteForce(sys, opts)
+		if err != nil {
+			t.Fatalf("%s: BruteForce: %v", name, err)
+		}
+		exact, err := ExactYield(sys, opts)
+		if err != nil {
+			t.Fatalf("%s: ExactYield: %v", name, err)
+		}
+		if d := math.Abs(bf.Yield - exact.Yield); d > 1e-12 || math.IsNaN(bf.Yield) {
+			t.Errorf("%s: DP yield %.17g, ExactYield %.17g", name, bf.Yield, exact.Yield)
+		}
+		cf, err := NewCondFail(sys, opts)
+		if err != nil {
+			t.Fatalf("%s: NewCondFail: %v", name, err)
+		}
+		yk, _, err := bruteForceYk(sys, opts)
+		if err != nil {
+			t.Fatalf("%s: bruteForceYk: %v", name, err)
+		}
+		for k, v := range cf.Vector(nil) {
+			if d := math.Abs(v - (1 - yk[k])); d > 1e-13 || math.IsNaN(v) {
+				t.Errorf("%s: DP entry %d is %.17g, Möbius 1 − Y_%d = %.17g", name, k, v, k, 1-yk[k])
+			}
 		}
 	}
 }

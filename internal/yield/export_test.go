@@ -18,3 +18,8 @@ var (
 
 // ReclaimDue is reclaimDue.
 var ReclaimDue = reclaimDue
+
+// CondVector is condVector without a pass buffer.
+func (r *Reevaluator) CondVector(pprime []float64) ([]float64, float64, error) {
+	return r.condVector(pprime, nil)
+}

@@ -143,15 +143,14 @@ func TestOracleDifferential(t *testing.T) {
 		if got.Yield < 0 || got.Yield > 1 {
 			t.Errorf("%s: yield %v outside [0,1]", name, got.Yield)
 		}
-		// Every fourth tree, check the small-system inclusion–exclusion
-		// reference too.
+		// Every fourth tree, check the DP over F's own ROBDD too.
 		if i%4 == 0 {
 			bf, err := BruteForce(sys, opts)
 			if err != nil {
 				t.Fatalf("%s: BruteForce: %v", name, err)
 			}
 			if diff := math.Abs(bf.Yield - exact.Yield); diff > 1e-11 {
-				t.Errorf("%s: inclusion–exclusion yield %.17g, oracle %.17g (diff %.3g)", name, bf.Yield, exact.Yield, diff)
+				t.Errorf("%s: DP yield %.17g, oracle %.17g (diff %.3g)", name, bf.Yield, exact.Yield, diff)
 			}
 		}
 	}
@@ -211,7 +210,7 @@ func TestOracleMatchesBruteForceTMR(t *testing.T) {
 			t.Fatalf("BruteForce(ε=%g): %v", eps, err)
 		}
 		if diff := math.Abs(exact.Yield - bf.Yield); diff > 1e-12 {
-			t.Errorf("ε=%g: oracle %.17g, brute force %.17g (diff %.3g)", eps, exact.Yield, bf.Yield, diff)
+			t.Errorf("ε=%g: oracle %.17g, DP %.17g (diff %.3g)", eps, exact.Yield, bf.Yield, diff)
 		}
 		if exact.ErrorBound > eps {
 			t.Errorf("ε=%g: error bound %v exceeds ε", eps, exact.ErrorBound)

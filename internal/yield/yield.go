@@ -12,8 +12,9 @@
 //
 // An alternative build route (direct ROMDD construction via MDD apply
 // — the ablation of the coded-ROBDD consensus claim), which ends in
-// the same evaluation, and an exact brute-force reference for small
-// systems are provided alongside.
+// the same evaluation, is provided alongside, and so is CondFail: the
+// conditional-failure vector 1 − Y_k by one dynamic program over the
+// ROBDD of F itself, which BruteForce and package reliability use.
 package yield
 
 import (
@@ -512,91 +513,19 @@ func applyNetlistMDD(mm *mdd.Manager, f *logic.Netlist, inputs []mdd.Node) (mdd.
 	return vals[out], nil
 }
 
-// maxBruteForceComponents bounds the exact reference evaluator.
-const maxBruteForceComponents = 20
-
-// BruteForce computes Y_M exactly (up to float64 rounding) by
-// inclusion–exclusion over failed-component sets; it is exponential in
-// C and restricted to C ≤ 20. It shares the model preparation with
-// Evaluate, so it validates everything downstream of the distribution
-// arithmetic.
+// BruteForce computes Y_M exactly (up to float64 rounding) from the
+// conditional-failure vector of CondFail: one dynamic program over the
+// ROBDD of F itself, with no G encoding, no MV ordering and no ROMDD.
+// Its size is bounded by Options.NodeLimit on F's ROBDD, not by the
+// component count. It shares the model preparation with Evaluate, and
+// internal/bdd with it; ExactYield is the reference with no BDD. The
+// Result carries the yield, its bound, M, P_L and λ′; it builds none of
+// the diagrams the other fields describe.
 func BruteForce(sys *System, opts Options) (*Result, error) {
-	yk, p, err := bruteForceYk(sys, opts)
+	cf, err := NewCondFail(sys, opts)
 	if err != nil {
 		return nil, err
 	}
-	yield := 0.0
-	for k, q := range p.qprime {
-		if q != 0 {
-			yield += q * yk[k]
-		}
-	}
-	g, err := encode.BuildG(sys.FaultTree, p.m)
-	if err != nil {
-		return nil, err
-	}
-	res := p.baseResult(g)
-	res.Yield = yield
-	return res, nil
-}
-
-// bruteForceYk returns Y_k, the probability that the system works
-// given exactly k lethal defects, for every k = 0..M, by one Möbius
-// transform per k, together with the prepared model.
-func bruteForceYk(sys *System, opts Options) ([]float64, *prepared, error) {
-	p, err := prepare(sys, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	c := len(sys.Components)
-	if c > maxBruteForceComponents {
-		return nil, nil, fmt.Errorf("yield: brute force limited to %d components, system has %d", maxBruteForceComponents, c)
-	}
-	// subsetP[mask] = Σ_{i ∈ mask} P'_i.
-	size := 1 << c
-	subsetP := make([]float64, size)
-	for mask := 1; mask < size; mask++ {
-		low := mask & (-mask)
-		i := 0
-		for 1<<i != low {
-			i++
-		}
-		subsetP[mask] = subsetP[mask^low] + p.pprime[i]
-	}
-	// functioning[mask]: F(mask) == 0.
-	functioning := make([]bool, size)
-	assign := make([]bool, c)
-	for mask := 0; mask < size; mask++ {
-		for i := 0; i < c; i++ {
-			assign[i] = mask&(1<<i) != 0
-		}
-		v, err := sys.FaultTree.Eval(assign)
-		if err != nil {
-			return nil, nil, err
-		}
-		functioning[mask] = !v
-	}
-	yk := make([]float64, p.m+1)
-	work := make([]float64, size)
-	for k := range yk {
-		// work[mask] = P(all k lethal defects land within mask)
-		// = subsetP[mask]^k; then the Möbius transform over the subset
-		// lattice turns it into P(failed set == mask).
-		for mask := 0; mask < size; mask++ {
-			work[mask] = math.Pow(subsetP[mask], float64(k))
-		}
-		for bit := 0; bit < c; bit++ {
-			for mask := 0; mask < size; mask++ {
-				if mask&(1<<bit) != 0 {
-					work[mask] -= work[mask^(1<<bit)]
-				}
-			}
-		}
-		for mask := 0; mask < size; mask++ {
-			if functioning[mask] {
-				yk[k] += work[mask]
-			}
-		}
-	}
-	return yk, p, nil
+	p := cf.p
+	return &Result{Yield: cf.Yield(nil), ErrorBound: p.tail, M: p.m, PL: p.pl, LambdaPrime: p.lethal.Mean()}, nil
 }

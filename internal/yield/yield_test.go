@@ -274,14 +274,28 @@ func TestNodeLimitPropagates(t *testing.T) {
 }
 
 func TestBruteForceLimits(t *testing.T) {
-	// 21 components exceeds the brute-force bound.
+	// BruteForce is bounded by NodeLimit on F's ROBDD, not by the
+	// component count: 21 series components (22 nodes) fit without a
+	// limit and exceed a limit of 5.
 	ps := make([]float64, 21)
 	for i := range ps {
 		ps[i] = 0.01
 	}
 	sys := seriesSystem(ps...)
-	if _, err := BruteForce(sys, Options{Defects: nb(1, 1)}); err == nil {
-		t.Error("brute force over 21 components accepted")
+	if _, err := BruteForce(sys, Options{Defects: nb(1, 1), NodeLimit: 5}); !errors.Is(err, ErrNodeLimit) {
+		t.Errorf("brute force within a 5-node limit: err = %v, want ErrNodeLimit", err)
+	}
+	res, err := BruteForce(sys, Options{Defects: nb(1, 1)})
+	if err != nil {
+		t.Fatalf("brute force over 21 components: %v", err)
+	}
+	// A series system works only without lethal defects: Y_M = Q'_0.
+	lethal, err := defects.Thin(nb(1, 1), sys.PL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := lethal.PMF(0); math.Abs(res.Yield-want) > 1e-15 {
+		t.Errorf("series yield %.17g, want Q'_0 = %.17g", res.Yield, want)
 	}
 }
 

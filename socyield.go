@@ -161,8 +161,10 @@ func NewProgressMeter(w io.Writer, label string, total int, interval time.Durati
 	return obs.NewProgress(w, label, total, interval)
 }
 
-// BruteForce computes the same estimate exactly by inclusion–exclusion
-// (exponential in the component count; C ≤ 20).
+// BruteForce computes the same estimate exactly by one dynamic program
+// over the ROBDD of the fault tree itself, bounded by
+// Options.NodeLimit on that diagram. It shares the BDD engine with
+// Evaluate; ExactYield is the check that uses none.
 func BruteForce(sys *System, opts Options) (*Result, error) { return yield.BruteForce(sys, opts) }
 
 // ExactYield computes Y_M by direct summation over every assignment of
