@@ -224,10 +224,10 @@ func run() error {
 
 	// One Reevaluator carries the whole run: the headline evaluation,
 	// -sensitivity, -sweep, and -save-model all share the same compiled
-	// model, built (or loaded) exactly once. ModelKey pins the
-	// truncation point so the compiled artifact is the one the key
-	// addresses — the same identity yieldd's store uses.
-	key, m, err := yield.ModelKey(sys, opts)
+	// model, built (or loaded) exactly once. The build resolves the
+	// same truncation point as ModelKey, so the compiled artifact is the
+	// one the key addresses — the same identity yieldd's store uses.
+	key, _, err := yield.ModelKey(sys, opts)
 	if err != nil {
 		return err
 	}
@@ -237,12 +237,8 @@ func run() error {
 		if re, err = loadCompiled(*loadModel, key); err != nil {
 			return err
 		}
-	} else {
-		buildOpts := opts
-		buildOpts.ForceM, buildOpts.ForceMSet = m, true
-		if re, err = yield.NewReevaluator(sys, buildOpts); err != nil {
-			return err
-		}
+	} else if re, err = yield.NewReevaluator(sys, opts); err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 	res := *re.Result

@@ -56,8 +56,7 @@
 // builds. The side tables are not per slot: external references are a
 // map over the few referenced nodes (package compile holds one per
 // gate result still to be read), and the garbage collector marks in a
-// bitset, one bit per slot. Traversals that need a per-node memo
-// (Restrict, SatFraction) allocate it per call.
+// bitset, one bit per slot. Size allocates its visited set per call.
 //
 // Variables are identified by their level in the fixed total order,
 // 0 .. NumVars-1; mapping from named problem variables to levels is the
@@ -69,7 +68,6 @@ package bdd
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"unsafe"
 )
@@ -140,7 +138,6 @@ type Manager struct {
 	marks     []uint64 // GC mark bits, one per arena slot
 	naryBuf   []Node   // operand scratch for the n-ary apply
 	naryKeys  []uint64 // sorted (handle, position) scratch for its dedupe
-	limitHit  bool
 	released  bool
 	// Instrumentation totals, maintained as plain fields because
 	// construction is single-threaded by contract; Stats snapshots them.
@@ -223,9 +220,6 @@ func (m *Manager) ResetPeakLive() int {
 	m.peakLive = m.live
 	return p
 }
-
-// GCs returns the number of garbage collections performed.
-func (m *Manager) GCs() int { return m.gcCount }
 
 // NodeBound returns an exclusive upper bound on the integer value of
 // every Node handle this manager has issued (including complemented
@@ -390,7 +384,6 @@ func (m *Manager) mk(level int32, lo, hi Node) Node {
 		}
 	}
 	if m.limit > 0 && m.live >= m.limit {
-		m.limitHit = true
 		panic(errLimitPanic{})
 	}
 	var idx int32
@@ -442,21 +435,6 @@ func (m *Manager) Var(level int) (Node, error) {
 	func() {
 		defer m.guard(&err)
 		out = m.mk(int32(level), False, True)
-	}()
-	return out, err
-}
-
-// NVar returns the negation of the variable at the given level.
-func (m *Manager) NVar(level int) (Node, error) {
-	m.checkBuilding()
-	if level < 0 || int32(level) >= m.numVars {
-		return False, fmt.Errorf("bdd: variable level %d out of range [0,%d)", level, m.numVars)
-	}
-	var out Node
-	var err error
-	func() {
-		defer m.guard(&err)
-		out = m.mk(int32(level), True, False)
 	}()
 	return out, err
 }
@@ -807,81 +785,6 @@ func (m *Manager) Xor(f, g Node) (Node, error) {
 	return m.ITE(f, ng, g)
 }
 
-// Implies returns f → g.
-func (m *Manager) Implies(f, g Node) (Node, error) { return m.ITE(f, g, True) }
-
-// Equiv returns f ↔ g.
-func (m *Manager) Equiv(f, g Node) (Node, error) {
-	ng, err := m.Not(g)
-	if err != nil {
-		return False, err
-	}
-	return m.ITE(f, g, ng)
-}
-
-// Restrict returns f with the variable at the given level fixed to val.
-func (m *Manager) Restrict(f Node, level int, val bool) (Node, error) {
-	m.checkBuilding()
-	if level < 0 || int32(level) >= m.numVars {
-		return False, fmt.Errorf("bdd: variable level %d out of range [0,%d)", level, m.numVars)
-	}
-	var out Node
-	var err error
-	func() {
-		defer m.guard(&err)
-		// Arena-indexed memo over the nodes that exist on entry, holding
-		// the result plus one (zero: not yet restricted); the recursion
-		// only descends into those, so nodes mk creates along the way
-		// never index it.
-		out = m.restrict(f, int32(level), val, make([]Node, m.size))
-	}()
-	return out, err
-}
-
-// restrict memoizes per stored node and re-applies the handle's
-// polarity on the way out: restrict(¬f) = ¬restrict(f).
-func (m *Manager) restrict(f Node, level int32, val bool, memo []Node) Node {
-	nd := m.nodeOf(f)
-	if nd.level > level {
-		return f
-	}
-	c := f & 1
-	if nd.level == level {
-		if val {
-			return nd.hi ^ c
-		}
-		return nd.lo ^ c
-	}
-	idx := f >> 1
-	if r := memo[idx]; r != 0 {
-		return (r - 1) ^ c
-	}
-	r := m.mk(nd.level, m.restrict(nd.lo, level, val, memo), m.restrict(nd.hi, level, val, memo))
-	memo[idx] = r + 1
-	return r ^ c
-}
-
-// Exists existentially quantifies the variables at the given levels
-// out of f.
-func (m *Manager) Exists(f Node, levels ...int) (Node, error) {
-	out := f
-	for _, lv := range levels {
-		lo, err := m.Restrict(out, lv, false)
-		if err != nil {
-			return False, err
-		}
-		hi, err := m.Restrict(out, lv, true)
-		if err != nil {
-			return False, err
-		}
-		out, err = m.Or(lo, hi)
-		if err != nil {
-			return False, err
-		}
-	}
-	return out, nil
-}
-
 // Eval evaluates f under the assignment (assign[level] is the value of
 // the variable at that level; missing trailing levels read as false).
 func (m *Manager) Eval(f Node, assign []bool) bool {
@@ -922,17 +825,6 @@ func (b bitset) has(idx int32) bool { return b[idx/64]&(1<<(idx%64)) != 0 }
 // is allocated per call.
 func (m *Manager) Size(f Node) int { return m.sizeRec(int32(f>>1), m.newBitset()) }
 
-// SizeShared returns the number of distinct stored nodes reachable
-// from any of the given roots (diagram sharing counted once).
-func (m *Manager) SizeShared(roots []Node) int {
-	seen := m.newBitset()
-	total := 0
-	for _, r := range roots {
-		total += m.sizeRec(int32(r>>1), seen)
-	}
-	return total
-}
-
 func (m *Manager) sizeRec(idx int32, seen bitset) int {
 	if !seen.add(idx) {
 		return 0
@@ -942,63 +834,6 @@ func (m *Manager) sizeRec(idx int32, seen bitset) int {
 	}
 	nd := m.slot(idx)
 	return 1 + m.sizeRec(int32(nd.lo>>1), seen) + m.sizeRec(int32(nd.hi>>1), seen)
-}
-
-// Support returns the sorted levels of the variables f depends on.
-func (m *Manager) Support(f Node) []int {
-	seen := make([]bool, m.numVars)
-	m.supportRec(int32(f>>1), m.newBitset(), seen)
-	out := make([]int, 0, len(seen))
-	for lv, s := range seen {
-		if s {
-			out = append(out, lv)
-		}
-	}
-	return out
-}
-
-func (m *Manager) supportRec(idx int32, visited bitset, seen []bool) {
-	if idx == 0 || !visited.add(idx) {
-		return
-	}
-	nd := m.slot(idx)
-	seen[nd.level] = true
-	m.supportRec(int32(nd.lo>>1), visited, seen)
-	m.supportRec(int32(nd.hi>>1), visited, seen)
-}
-
-// SatFraction returns the fraction of the 2^NumVars assignments that
-// satisfy f. It is exact up to float64 rounding.
-func (m *Manager) SatFraction(f Node) float64 {
-	return m.satFrac(f, m.newBitset(), make([]float64, m.size))
-}
-
-// satFrac memoizes the density of each stored node and resolves the
-// handle's polarity on the way out: density(¬f) = 1 − density(f).
-func (m *Manager) satFrac(f Node, done bitset, memo []float64) float64 {
-	idx := int32(f >> 1)
-	var v float64
-	switch {
-	case idx == 0:
-		v = 0 // stored terminal is constant false
-	case done.has(idx):
-		v = memo[idx]
-	default:
-		nd := m.nodeOf(f)
-		v = 0.5*m.satFrac(nd.lo, done, memo) + 0.5*m.satFrac(nd.hi, done, memo)
-		done.add(idx)
-		memo[idx] = v
-	}
-	if f&1 != 0 {
-		return 1 - v
-	}
-	return v
-}
-
-// SatCount returns the number of satisfying assignments of f over all
-// NumVars variables, as a float64 (exact for counts below 2^53).
-func (m *Manager) SatCount(f Node) float64 {
-	return m.SatFraction(f) * math.Pow(2, float64(m.numVars))
 }
 
 // GC reclaims every node not reachable from an externally referenced
@@ -1114,7 +949,3 @@ func (m *Manager) checkBuilding() {
 		panic("bdd: manager used to build or collect nodes after Release")
 	}
 }
-
-// LimitExceeded reports whether any operation has failed with
-// ErrNodeLimit since the manager was created.
-func (m *Manager) LimitExceeded() bool { return m.limitHit }

@@ -1,7 +1,6 @@
 package bdd
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -43,22 +42,18 @@ func TestVarBasics(t *testing.T) {
 	if x != x2 {
 		t.Error("Var not canonical")
 	}
-	nx, err := m.NVar(1)
-	if err != nil {
-		t.Fatalf("NVar: %v", err)
-	}
 	notx, err := m.Not(x)
 	if err != nil {
 		t.Fatalf("Not: %v", err)
 	}
-	if nx != notx {
-		t.Error("NVar(1) != Not(Var(1)): canonicity violated")
+	if m.Level(notx) != 1 || m.Lo(notx) != True || m.Hi(notx) != False {
+		t.Error("Not(Var(1)) is not the negated variable")
 	}
 	if _, err := m.Var(3); err == nil {
 		t.Error("Var(3) of 3-var manager: want range error")
 	}
-	if _, err := m.NVar(-1); err == nil {
-		t.Error("NVar(-1): want range error")
+	if _, err := m.Var(-1); err == nil {
+		t.Error("Var(-1): want range error")
 	}
 }
 
@@ -189,55 +184,6 @@ func TestITEIdentities(t *testing.T) {
 	}
 }
 
-func TestImpliesEquiv(t *testing.T) {
-	m := New(2)
-	a, b := mustVar(t, m, 0), mustVar(t, m, 1)
-	imp, _ := m.Implies(a, b)
-	eqv, _ := m.Equiv(a, b)
-	for mask := 0; mask < 4; mask++ {
-		assign := []bool{mask&1 != 0, mask&2 != 0}
-		if got, want := m.Eval(imp, assign), !assign[0] || assign[1]; got != want {
-			t.Errorf("Implies mask %02b = %v, want %v", mask, got, want)
-		}
-		if got, want := m.Eval(eqv, assign), assign[0] == assign[1]; got != want {
-			t.Errorf("Equiv mask %02b = %v, want %v", mask, got, want)
-		}
-	}
-}
-
-func TestRestrictAndExists(t *testing.T) {
-	m := New(3)
-	a, b, c := mustVar(t, m, 0), mustVar(t, m, 1), mustVar(t, m, 2)
-	ab, _ := m.And(a, b)
-	f, _ := m.Or(ab, c)
-	r1, err := m.Restrict(f, 0, true) // b ∨ c
-	if err != nil {
-		t.Fatalf("Restrict: %v", err)
-	}
-	bc, _ := m.Or(b, c)
-	if r1 != bc {
-		t.Error("Restrict(f, a=1) != b∨c")
-	}
-	r0, _ := m.Restrict(f, 0, false) // c
-	if r0 != c {
-		t.Error("Restrict(f, a=0) != c")
-	}
-	ex, err := m.Exists(f, 0) // ∃a. f = b∨c
-	if err != nil {
-		t.Fatalf("Exists: %v", err)
-	}
-	if ex != bc {
-		t.Error("Exists(f, a) != b∨c")
-	}
-	exAll, _ := m.Exists(f, 0, 1, 2)
-	if exAll != True {
-		t.Error("Exists over all variables of a satisfiable f != True")
-	}
-	if _, err := m.Restrict(f, 9, true); err == nil {
-		t.Error("Restrict with out-of-range level: want error")
-	}
-}
-
 func TestSizeAndSupport(t *testing.T) {
 	m := New(3)
 	a, b, c := mustVar(t, m, 0), mustVar(t, m, 1), mustVar(t, m, 2)
@@ -250,45 +196,6 @@ func TestSizeAndSupport(t *testing.T) {
 	}
 	if got := m.Size(True); got != 1 {
 		t.Errorf("Size(True) = %d, want 1", got)
-	}
-	sup := m.Support(f)
-	if len(sup) != 3 || sup[0] != 0 || sup[1] != 1 || sup[2] != 2 {
-		t.Errorf("Support = %v, want [0 1 2]", sup)
-	}
-	if got := m.Support(c); len(got) != 1 || got[0] != 2 {
-		t.Errorf("Support(c) = %v, want [2]", got)
-	}
-	// c's node is a subgraph of f (it is f's lo-cofactor), so sharing
-	// makes the joint size equal Size(f).
-	if shared := m.SizeShared([]Node{f, c}); shared != m.Size(f) {
-		t.Errorf("SizeShared(f,c) = %d, want %d", shared, m.Size(f))
-	}
-	// ab is NOT a subgraph of f (its b-node has different cofactors),
-	// so the joint size is Size(f) plus ab's two fresh internal nodes.
-	if shared := m.SizeShared([]Node{f, ab}); shared != m.Size(f)+2 {
-		t.Errorf("SizeShared(f,ab) = %d, want %d", shared, m.Size(f)+2)
-	}
-}
-
-func TestSatFractionAndCount(t *testing.T) {
-	m := New(3)
-	a, b := mustVar(t, m, 0), mustVar(t, m, 1)
-	ab, _ := m.And(a, b)
-	if got := m.SatFraction(ab); got != 0.25 {
-		t.Errorf("SatFraction(a∧b) = %v, want 0.25", got)
-	}
-	if got := m.SatCount(ab); got != 2 { // 2 of 8 assignments
-		t.Errorf("SatCount(a∧b) = %v, want 2", got)
-	}
-	if got := m.SatFraction(True); got != 1 {
-		t.Errorf("SatFraction(True) = %v, want 1", got)
-	}
-	if got := m.SatFraction(False); got != 0 {
-		t.Errorf("SatFraction(False) = %v, want 0", got)
-	}
-	x, _ := m.Xor(a, b)
-	if got := m.SatFraction(x); got != 0.5 {
-		t.Errorf("SatFraction(a⊕b) = %v, want 0.5", got)
 	}
 }
 
@@ -327,7 +234,7 @@ func TestGCReclaimsUnreferenced(t *testing.T) {
 		t.Error("unique table broken after GC: a∧b rebuilt as a different node")
 	}
 	m.Deref(keep)
-	if g := m.GCs(); g != 1 {
+	if g := m.Stats().GCs; g != 1 {
 		t.Errorf("GCs = %d, want 1", g)
 	}
 }
@@ -367,9 +274,6 @@ func TestNodeLimit(t *testing.T) {
 	}
 	if err != ErrNodeLimit {
 		t.Fatalf("expected ErrNodeLimit, got %v", err)
-	}
-	if !m.LimitExceeded() {
-		t.Error("LimitExceeded() = false after a limit failure")
 	}
 	// The manager must remain usable for reads after a limit failure.
 	if m.Eval(True, nil) != true {
@@ -504,10 +408,9 @@ func TestQuickCanonicity(t *testing.T) {
 			term := True
 			for i := 0; i < nvars; i++ {
 				var lit Node
-				if assign[i] {
-					lit, err = m.Var(i)
-				} else {
-					lit, err = m.NVar(i)
+				lit, err = m.Var(i)
+				if err == nil && !assign[i] {
+					lit, err = m.Not(lit)
 				}
 				if err != nil {
 					return false
@@ -525,34 +428,6 @@ func TestQuickCanonicity(t *testing.T) {
 		return rebuilt == root
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: SatFraction equals the truth-table density.
-func TestQuickSatFraction(t *testing.T) {
-	const nvars = 5
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := New(nvars)
-		root, eval, err := randomFormula(m, rng, 4, nvars)
-		if err != nil {
-			return false
-		}
-		count := 0
-		assign := make([]bool, nvars)
-		for mask := 0; mask < 1<<nvars; mask++ {
-			for i := range assign {
-				assign[i] = mask&(1<<i) != 0
-			}
-			if eval(assign) {
-				count++
-			}
-		}
-		want := float64(count) / float64(int(1)<<nvars)
-		return math.Abs(m.SatFraction(root)-want) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
@@ -612,8 +487,15 @@ func TestLargeXorChainSizeIsLinear(t *testing.T) {
 	if size > 2*n+2 {
 		t.Errorf("parity BDD size = %d, want ≤ %d", size, 2*n+2)
 	}
-	if got := m.SatFraction(f); got != 0.5 {
-		t.Errorf("parity SatFraction = %v, want 0.5", got)
+	// The first k variables set: parity k mod 2.
+	assign := make([]bool, n)
+	for k := 0; k <= n; k++ {
+		if got := m.Eval(f, assign); got != (k%2 == 1) {
+			t.Errorf("parity of %d set variables = %v", k, got)
+		}
+		if k < n {
+			assign[k] = true
+		}
 	}
 }
 
@@ -648,5 +530,44 @@ func TestManyVariablesStress(t *testing.T) {
 	}
 	if m.Eval(f, make([]bool, n)) {
 		t.Error("f(0..0) = true, want false")
+	}
+}
+
+// Property: Size is invariant under re-derivation.
+func TestQuickSizeInvariants(t *testing.T) {
+	const nvars = 5
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := New(nvars)
+		root, _, err := randomFormula(m, rng, 4, nvars)
+		if err != nil {
+			return false
+		}
+		s1 := m.Size(root)
+		s2 := m.Size(root)
+		return s1 == s2
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestNewNegativeVarsPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("New(-1) did not panic")
+		}
+	}()
+	New(-1)
+}
+
+func TestMaybeGCThreshold(t *testing.T) {
+	m := New(20)
+	// Small arenas: MaybeGC must be a no-op.
+	if freed := m.MaybeGC(); freed != 0 {
+		t.Errorf("MaybeGC freed %d on a tiny arena", freed)
+	}
+	if m.Stats().GCs != 0 {
+		t.Errorf("GC ran prematurely")
 	}
 }

@@ -140,23 +140,6 @@ func BenchmarkGC(b *testing.B) {
 	}
 }
 
-// BenchmarkSatFraction measures the probability-style traversal.
-func BenchmarkSatFraction(b *testing.B) {
-	const n = 30
-	m := New(n)
-	f := False
-	for i := 0; i < n; i++ {
-		v, _ := m.Var(i)
-		f, _ = m.Xor(f, v)
-	}
-	b.ResetTimer()
-	for b.Loop() {
-		if got := m.SatFraction(f); got != 0.5 {
-			b.Fatalf("parity fraction %v", got)
-		}
-	}
-}
-
 // BenchmarkUniqueTableChurn exercises mk with many distinct small
 // functions (hash-table stress).
 func BenchmarkUniqueTableChurn(b *testing.B) {

@@ -339,16 +339,15 @@ func TestReleasedManagerIsReadOnly(t *testing.T) {
 		t.Fatal("released manager evaluates wrongly")
 	}
 	for name, call := range map[string]func(){
-		"Var":      func() { m.Var(2) },
-		"NVar":     func() { m.NVar(2) },
-		"ITE":      func() { m.ITE(x, y, False) },
-		"And":      func() { m.And(x, y) },
-		"Or":       func() { m.Or(x, y) },
-		"Restrict": func() { m.Restrict(f, 0, true) },
-		"Ref":      func() { m.Ref(f) },
-		"Deref":    func() { m.Deref(f) },
-		"GC":       func() { m.GC() },
-		"MaybeGC":  func() { m.MaybeGC() },
+		"Var":     func() { m.Var(2) },
+		"Xor":     func() { m.Xor(x, y) },
+		"ITE":     func() { m.ITE(x, y, False) },
+		"And":     func() { m.And(x, y) },
+		"Or":      func() { m.Or(x, y) },
+		"Ref":     func() { m.Ref(f) },
+		"Deref":   func() { m.Deref(f) },
+		"GC":      func() { m.GC() },
+		"MaybeGC": func() { m.MaybeGC() },
 	} {
 		func() {
 			defer func() {

@@ -21,45 +21,29 @@ import (
 	"socyield/internal/yield"
 )
 
-// MSConfig sets the relative defect-lethality weights of the MSn
-// component classes and the total lethality probability P_L. The
-// paper fixes P_L = 0.5 and the ratios P_IPS/P_IPM and P_C/P_IPM to
-// constants lost in the archival copy; the defaults below are the
-// documented reproduction choices.
-type MSConfig struct {
-	WeightIPM float64 // relative P_i of a master IP
-	WeightIPS float64 // relative P_i of a slave IP
-	WeightCM  float64 // relative P_i of a communication module (CM or CS)
-	PL        float64 // Σ P_i
-}
+// The MSn defect-lethality weights relative to a master IP, and the
+// total lethality probability P_L. The paper fixes P_L = 0.5 and the
+// ratios P_IPS/P_IPM and P_C/P_IPM to constants lost in the archival
+// copy; these were calibrated against the paper's Table 4 yields
+// (internal/tools/calib2): with the clustering parameter α = 3.4 they
+// reproduce the published MS2 (both λ′) and MS6 yields to four decimal
+// places.
+const (
+	msWeightIPM = 1     // a master IP
+	msWeightIPS = 0.445 // a slave IP
+	msWeightCM  = 0.099 // a communication module (CM or CS)
+	paperPL     = 0.5   // Σ P_i, both families
+)
 
-// DefaultMSConfig returns the reproduction defaults, calibrated
-// against the paper's Table 4 yields (internal/tools/calib2): with the
-// clustering parameter α = 3.4 these ratios reproduce the published
-// MS2 (both λ′) and MS6 yields to four decimal places.
-func DefaultMSConfig() MSConfig {
-	return MSConfig{WeightIPM: 1, WeightIPS: 0.445, WeightCM: 0.099, PL: 0.5}
-}
-
-// MS builds the master–slave SoC with n slave clusters under the
-// default configuration: 2 master IPs with two communication modules
-// each (one per bus), and per cluster 2 slave IPs with two
-// communication modules each. Buses are defect-free. The system is
-// operational iff some unfailed master can communicate directly (bus
-// plus the two communication modules on it) with at least one unfailed
-// slave of every cluster.
-func MS(n int) (*yield.System, error) { return MSWithConfig(n, DefaultMSConfig()) }
-
-// MSWithConfig is MS with explicit weights.
-func MSWithConfig(n int, cfg MSConfig) (*yield.System, error) {
+// MS builds the master–slave SoC with n slave clusters: 2 master IPs
+// with two communication modules each (one per bus), and per cluster 2
+// slave IPs with two communication modules each. Buses are
+// defect-free. The system is operational iff some unfailed master can
+// communicate directly (bus plus the two communication modules on it)
+// with at least one unfailed slave of every cluster.
+func MS(n int) (*yield.System, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("benchmarks: MS needs n ≥ 1 clusters, got %d", n)
-	}
-	if cfg.WeightIPM <= 0 || cfg.WeightIPS <= 0 || cfg.WeightCM <= 0 {
-		return nil, fmt.Errorf("benchmarks: MS weights must be positive: %+v", cfg)
-	}
-	if !(cfg.PL > 0 && cfg.PL <= 1) {
-		return nil, fmt.Errorf("benchmarks: P_L = %v outside (0,1]", cfg.PL)
 	}
 	f := logic.New()
 	var comps []yield.Component
@@ -75,12 +59,12 @@ func MSWithConfig(n int, cfg MSConfig) (*yield.System, error) {
 	ipm := make([]logic.GateID, 2)
 	cm := make([][]logic.GateID, 2) // [master][bus]
 	for mi := 0; mi < 2; mi++ {
-		ipm[mi] = declare(fmt.Sprintf("IPM_%d", mi+1), cfg.WeightIPM)
+		ipm[mi] = declare(fmt.Sprintf("IPM_%d", mi+1), msWeightIPM)
 		cm[mi] = make([]logic.GateID, 2)
 	}
 	for mi := 0; mi < 2; mi++ {
 		for bi, b := range buses {
-			cm[mi][bi] = declare(fmt.Sprintf("CM_%d_%s", mi+1, b), cfg.WeightCM)
+			cm[mi][bi] = declare(fmt.Sprintf("CM_%d_%s", mi+1, b), msWeightCM)
 		}
 	}
 	// Clusters: slaves and their communication modules.
@@ -90,12 +74,12 @@ func MSWithConfig(n int, cfg MSConfig) (*yield.System, error) {
 		ips[j] = make([]logic.GateID, 2)
 		cs[j] = make([][]logic.GateID, 2)
 		for k := 0; k < 2; k++ {
-			ips[j][k] = declare(fmt.Sprintf("IPS_%d_%d", j+1, k+1), cfg.WeightIPS)
+			ips[j][k] = declare(fmt.Sprintf("IPS_%d_%d", j+1, k+1), msWeightIPS)
 		}
 		for k := 0; k < 2; k++ {
 			cs[j][k] = make([]logic.GateID, 2)
 			for bi, b := range buses {
-				cs[j][k][bi] = declare(fmt.Sprintf("CS_%d_%d_%s", j+1, k+1, b), cfg.WeightCM)
+				cs[j][k][bi] = declare(fmt.Sprintf("CS_%d_%d_%s", j+1, k+1, b), msWeightCM)
 			}
 		}
 	}
@@ -120,7 +104,7 @@ func MSWithConfig(n int, cfg MSConfig) (*yield.System, error) {
 		masters[mi] = f.And(clusters...)
 	}
 	f.SetOutput(f.Not(f.Or(masters...)))
-	normalize(comps, weights, cfg.PL)
+	normalize(comps, weights)
 	return &yield.System{
 		Name:       fmt.Sprintf("MS%d", n),
 		Components: comps,
@@ -128,52 +112,35 @@ func MSWithConfig(n int, cfg MSConfig) (*yield.System, error) {
 	}, nil
 }
 
-// ESENConfig sets the relative weights of the ESENnxm component
-// classes and P_L; defaults documented in DESIGN.md.
-type ESENConfig struct {
-	WeightIPA float64
-	WeightIPB float64
-	WeightSE  float64
-	WeightC   float64 // concentrator
-	PL        float64
-}
-
-// DefaultESENConfig returns the reproduction defaults, calibrated
+// The ESENnxm component weights relative to an IPA core, calibrated
 // against the paper's six ESEN4x* yields at the calibrated clustering
 // α = 3.4 (internal/tools/calib3) and validated out-of-sample on the
 // ESEN8x* instances.
-func DefaultESENConfig() ESENConfig {
-	return ESENConfig{WeightIPA: 1, WeightIPB: 1.56, WeightSE: 0.075, WeightC: 0.04, PL: 0.5}
-}
+const (
+	esenWeightIPA = 1
+	esenWeightIPB = 1.56
+	esenWeightSE  = 0.075
+	esenWeightC   = 0.04 // a concentrator
+)
 
-// ESEN builds the ESENnxm SoC under the default configuration:
-// n·m/2 IPA cores and n·m/2 IPB cores around an enhanced
-// shuffle-exchange network (SEN+: log2(n)+1 stages of n/2 2×2 switching
-// elements, two disjoint-in-the-middle paths per input/output pair) in
-// which every first- and last-stage switch has a redundant copy, and —
-// when m > 1 — n input concentrators and n output concentrators each
-// hosting m/2 IPs. Links are defect-free. The system is operational
-// iff the network provides full access (every input port reaches every
-// output port through its port concentrators, when present, and
-// unfailed switches via at least one SEN+ path — the Rai–Oh notion)
-// and at least nm/2 − 1 IPA cores and nm/2 − 1 IPB cores are unfailed.
-// This formulation reproduces the paper's ESEN ROMDDs digit for digit
-// on every instance.
-func ESEN(n, m int) (*yield.System, error) { return ESENWithConfig(n, m, DefaultESENConfig()) }
-
-// ESENWithConfig is ESEN with explicit weights.
-func ESENWithConfig(n, m int, cfg ESENConfig) (*yield.System, error) {
+// ESEN builds the ESENnxm SoC: n·m/2 IPA cores and n·m/2 IPB cores
+// around an enhanced shuffle-exchange network (SEN+: log2(n)+1 stages
+// of n/2 2×2 switching elements, two disjoint-in-the-middle paths per
+// input/output pair) in which every first- and last-stage switch has a
+// redundant copy, and — when m > 1 — n input concentrators and n
+// output concentrators each hosting m/2 IPs. Links are defect-free.
+// The system is operational iff the network provides full access
+// (every input port reaches every output port through its port
+// concentrators, when present, and unfailed switches via at least one
+// SEN+ path — the Rai–Oh notion) and at least nm/2 − 1 IPA cores and
+// nm/2 − 1 IPB cores are unfailed. This formulation reproduces the
+// paper's ESEN ROMDDs digit for digit on every instance.
+func ESEN(n, m int) (*yield.System, error) {
 	if n < 4 || bits.OnesCount(uint(n)) != 1 {
 		return nil, fmt.Errorf("benchmarks: ESEN needs n a power of two ≥ 4, got %d", n)
 	}
 	if m != 1 && (m < 2 || m%2 != 0) {
 		return nil, fmt.Errorf("benchmarks: ESEN needs m = 1 or an even m ≥ 2, got %d", m)
-	}
-	if cfg.WeightIPA <= 0 || cfg.WeightIPB <= 0 || cfg.WeightSE <= 0 || cfg.WeightC <= 0 {
-		return nil, fmt.Errorf("benchmarks: ESEN weights must be positive: %+v", cfg)
-	}
-	if !(cfg.PL > 0 && cfg.PL <= 1) {
-		return nil, fmt.Errorf("benchmarks: P_L = %v outside (0,1]", cfg.PL)
 	}
 	k := bits.TrailingZeros(uint(n)) // log2 n
 	stages := k + 1
@@ -191,11 +158,11 @@ func ESENWithConfig(n, m int, cfg ESENConfig) (*yield.System, error) {
 
 	ipa := make([]logic.GateID, nIP)
 	for a := range ipa {
-		ipa[a] = declare(fmt.Sprintf("IPA_%d", a), cfg.WeightIPA)
+		ipa[a] = declare(fmt.Sprintf("IPA_%d", a), esenWeightIPA)
 	}
 	ipb := make([]logic.GateID, nIP)
 	for b := range ipb {
-		ipb[b] = declare(fmt.Sprintf("IPB_%d", b), cfg.WeightIPB)
+		ipb[b] = declare(fmt.Sprintf("IPB_%d", b), esenWeightIPB)
 	}
 	// Switching elements; first and last stages have redundant copies.
 	se := make([][]logic.GateID, stages)
@@ -203,12 +170,12 @@ func ESENWithConfig(n, m int, cfg ESENConfig) (*yield.System, error) {
 	for s := 0; s < stages; s++ {
 		se[s] = make([]logic.GateID, n/2)
 		for j := 0; j < n/2; j++ {
-			se[s][j] = declare(fmt.Sprintf("SE_%d_%d", s, j), cfg.WeightSE)
+			se[s][j] = declare(fmt.Sprintf("SE_%d_%d", s, j), esenWeightSE)
 		}
 		if s == 0 || s == stages-1 {
 			seR[s] = make([]logic.GateID, n/2)
 			for j := 0; j < n/2; j++ {
-				seR[s][j] = declare(fmt.Sprintf("SE_%d_%d_r", s, j), cfg.WeightSE)
+				seR[s][j] = declare(fmt.Sprintf("SE_%d_%d_r", s, j), esenWeightSE)
 			}
 		}
 	}
@@ -216,11 +183,11 @@ func ESENWithConfig(n, m int, cfg ESENConfig) (*yield.System, error) {
 	if m > 1 {
 		cin = make([]logic.GateID, n)
 		for p := range cin {
-			cin[p] = declare(fmt.Sprintf("CIN_%d", p), cfg.WeightC)
+			cin[p] = declare(fmt.Sprintf("CIN_%d", p), esenWeightC)
 		}
 		cout = make([]logic.GateID, n)
 		for q := range cout {
-			cout[q] = declare(fmt.Sprintf("COUT_%d", q), cfg.WeightC)
+			cout[q] = declare(fmt.Sprintf("COUT_%d", q), esenWeightC)
 		}
 	}
 
@@ -272,7 +239,7 @@ func ESENWithConfig(n, m int, cfg ESENConfig) (*yield.System, error) {
 		f.AtLeast(nIP-1, aliveB...),
 	)
 	f.SetOutput(f.Not(operational))
-	normalize(comps, weights, cfg.PL)
+	normalize(comps, weights)
 	return &yield.System{
 		Name:       fmt.Sprintf("ESEN%dx%d", n, m),
 		Components: comps,
@@ -311,15 +278,15 @@ func enumeratePaths(n, k, p, q int) [][]int {
 	return paths
 }
 
-// normalize scales the collected weights so that Σ P_i = pl and writes
-// them into the component slice.
-func normalize(comps []yield.Component, weights []float64, pl float64) {
+// normalize scales the collected weights so that Σ P_i = paperPL and
+// writes them into the component slice.
+func normalize(comps []yield.Component, weights []float64) {
 	total := 0.0
 	for _, w := range weights {
 		total += w
 	}
 	for i := range comps {
-		comps[i].P = pl * weights[i] / total
+		comps[i].P = paperPL * weights[i] / total
 	}
 }
 

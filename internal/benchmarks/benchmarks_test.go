@@ -120,16 +120,6 @@ func TestMSValidation(t *testing.T) {
 	if _, err := MS(0); err == nil {
 		t.Error("MS(0) accepted")
 	}
-	bad := DefaultMSConfig()
-	bad.WeightIPM = 0
-	if _, err := MSWithConfig(2, bad); err == nil {
-		t.Error("zero weight accepted")
-	}
-	bad = DefaultMSConfig()
-	bad.PL = 1.5
-	if _, err := MSWithConfig(2, bad); err == nil {
-		t.Error("P_L > 1 accepted")
-	}
 }
 
 func TestEnumeratePaths(t *testing.T) {
@@ -237,16 +227,6 @@ func TestESENValidation(t *testing.T) {
 		if _, err := ESEN(tc.n, tc.m); err == nil {
 			t.Errorf("ESEN(%d,%d) accepted", tc.n, tc.m)
 		}
-	}
-	bad := DefaultESENConfig()
-	bad.WeightSE = -1
-	if _, err := ESENWithConfig(4, 1, bad); err == nil {
-		t.Error("negative weight accepted")
-	}
-	bad = DefaultESENConfig()
-	bad.PL = 0
-	if _, err := ESENWithConfig(4, 1, bad); err == nil {
-		t.Error("P_L = 0 accepted")
 	}
 }
 

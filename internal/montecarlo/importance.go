@@ -63,9 +63,6 @@ type ISOptions struct {
 	// Seed seeds the deterministic PRNG family. The estimate depends
 	// only on Seed and the option fields, never on Workers.
 	Seed int64
-	// MaxDefectsPerDie caps the tabulated lethal defect-count support
-	// (default 10000).
-	MaxDefectsPerDie int
 	// Workers is the number of simulation goroutines; ≤ 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
@@ -149,10 +146,6 @@ func EstimateIS(sys *yield.System, opts ISOptions) (ISResult, error) {
 	if opts.TiltSet && (!(opts.Tilt >= 0) || math.IsInf(opts.Tilt, 0)) {
 		return ISResult{}, fmt.Errorf("montecarlo: Tilt = %v, need finite and ≥ 0", opts.Tilt)
 	}
-	maxDefects := opts.MaxDefectsPerDie
-	if maxDefects == 0 {
-		maxDefects = 10000
-	}
 	// Cumulative P_i for lethal-defect placement (read-only after
 	// setup); a lethal defect lands on component i with P_i/PL.
 	c := len(sys.Components)
@@ -175,7 +168,7 @@ func EstimateIS(sys *yield.System, opts ISOptions) (ISResult, error) {
 	// probability by at most 1e-11, far below any reachable StdErr.
 	q := make([]float64, 0, 64)
 	cdf := 0.0
-	for k := 0; k <= maxDefects; k++ {
+	for k := 0; k <= maxDefectsPerDie; k++ {
 		p := lethal.PMF(k)
 		q = append(q, p)
 		cdf += p
@@ -184,7 +177,7 @@ func EstimateIS(sys *yield.System, opts ISOptions) (ISResult, error) {
 		}
 	}
 	if rem := 1 - cdf; rem > 1e-9 {
-		return ISResult{}, fmt.Errorf("montecarlo: lethal defect-count tail %v beyond %d too heavy for importance sampling", rem, maxDefects)
+		return ISResult{}, fmt.Errorf("montecarlo: lethal defect-count tail %v beyond %d too heavy for importance sampling", rem, maxDefectsPerDie)
 	}
 	maxK := len(q) - 1
 	if maxK == 0 || 1-q[0] < 1e-15 {

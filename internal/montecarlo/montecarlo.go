@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,9 +36,6 @@ type Options struct {
 	// Seed seeds the deterministic PRNG family. The estimate depends
 	// only on Seed and Samples, not on Workers.
 	Seed int64
-	// MaxDefectsPerDie caps the per-die defect count sampled from the
-	// distribution's inverse CDF (default 10000).
-	MaxDefectsPerDie int
 	// Workers is the number of simulation goroutines; ≤ 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
@@ -95,6 +91,12 @@ func (r Result) Wilson(z float64) (lo, hi float64) {
 	return lo, hi
 }
 
+// maxDefectsPerDie caps the tabulated defect-count support: the
+// per-die count Estimate draws from the inverse CDF, and the lethal
+// count EstimateIS tabulates. A law with real mass beyond it is too
+// heavy-tailed for this package and is reported as an error.
+const maxDefectsPerDie = 10000
+
 // chunkSize is the shard granularity: small enough that worker loads
 // balance, large enough that the per-chunk PRNG setup is noise.
 const chunkSize = 4096
@@ -122,10 +124,6 @@ func Estimate(sys *yield.System, opts Options) (Result, error) {
 	if opts.Samples <= 0 {
 		return Result{}, fmt.Errorf("montecarlo: Samples = %d, need > 0", opts.Samples)
 	}
-	maxDefects := opts.MaxDefectsPerDie
-	if maxDefects == 0 {
-		maxDefects = 10000
-	}
 	// Cumulative P_i for component sampling (read-only after setup).
 	c := len(sys.Components)
 	cum := make([]float64, c)
@@ -145,7 +143,7 @@ func Estimate(sys *yield.System, opts Options) (Result, error) {
 	// below anyway.
 	countCDF := make([]float64, 0, 64)
 	cdf := 0.0
-	for k := 0; k <= maxDefects; k++ {
+	for k := 0; k <= maxDefectsPerDie; k++ {
 		cdf += opts.Defects.PMF(k)
 		countCDF = append(countCDF, cdf)
 		if 1-cdf < 1e-12 {
@@ -173,51 +171,37 @@ func Estimate(sys *yield.System, opts Options) (Result, error) {
 		rec.Gauge("mc.workers").Set(int64(workers))
 		runStart = time.Now()
 	}
-	var next atomic.Int64
-	var firstErr atomic.Value
 	var functioning atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := scratch{failed: make([]bool, c)}
-			for {
-				chunk := int(next.Add(1)) - 1
-				if chunk >= numChunks || firstErr.Load() != nil {
-					return
-				}
-				n := chunkSize
-				if rem := opts.Samples - chunk*chunkSize; rem < n {
-					n = rem
-				}
-				var t0 time.Time
-				if rec != nil {
-					t0 = time.Now()
-				}
-				ok, err := simulateChunk(sys, rand.New(rand.NewSource(chunkSeed(opts.Seed, chunk))), n, countCDF, cum, pl, maxDefects, &scratch)
-				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				if rec != nil {
-					chunkNS.Observe(int64(time.Since(t0)))
-					chunkCnt.Inc()
-					sampleCnt.Add(int64(n))
-				}
-				opts.Progress.Add(1)
-				functioning.Add(int64(ok))
-			}
-		}()
-	}
-	wg.Wait()
+	newSc := func() *scratch { return &scratch{failed: make([]bool, c)} }
+	err := runPhase(workers, numChunks, newSc, func(chunk int, sc *scratch) error {
+		n := chunkSize
+		if rem := opts.Samples - chunk*chunkSize; rem < n {
+			n = rem
+		}
+		var t0 time.Time
+		if rec != nil {
+			t0 = time.Now()
+		}
+		ok, err := simulateChunk(sys, rand.New(rand.NewSource(chunkSeed(opts.Seed, chunk))), n, countCDF, cum, pl, sc)
+		if err != nil {
+			return err
+		}
+		if rec != nil {
+			chunkNS.Observe(int64(time.Since(t0)))
+			chunkCnt.Inc()
+			sampleCnt.Add(int64(n))
+		}
+		opts.Progress.Add(1)
+		functioning.Add(int64(ok))
+		return nil
+	})
 	if rec != nil {
 		if wall := time.Since(runStart).Seconds(); wall > 0 {
 			rec.FloatGauge("mc.samples_per_sec").Set(float64(sampleCnt.Load()) / wall)
 		}
 	}
-	if err := firstErr.Load(); err != nil {
-		return Result{}, err.(error)
+	if err != nil {
+		return Result{}, err
 	}
 	ok := functioning.Load()
 	p := float64(ok) / float64(opts.Samples)
@@ -238,7 +222,7 @@ type scratch struct {
 
 // simulateChunk runs n dies on one PRNG stream and returns how many
 // functioned.
-func simulateChunk(sys *yield.System, rng *rand.Rand, n int, countCDF, cum []float64, pl float64, maxDefects int, sc *scratch) (int, error) {
+func simulateChunk(sys *yield.System, rng *rand.Rand, n int, countCDF, cum []float64, pl float64, sc *scratch) (int, error) {
 	functioning := 0
 	failed := sc.failed
 	for s := 0; s < n; s++ {
@@ -250,8 +234,8 @@ func simulateChunk(sys *yield.System, rng *rand.Rand, n int, countCDF, cum []flo
 			k++
 		}
 		if k >= len(countCDF) {
-			if len(countCDF) == maxDefects+1 {
-				return 0, fmt.Errorf("montecarlo: defect count sampling exceeded %d (tail too heavy)", maxDefects)
+			if len(countCDF) == maxDefectsPerDie+1 {
+				return 0, fmt.Errorf("montecarlo: defect count sampling exceeded %d (tail too heavy)", maxDefectsPerDie)
 			}
 			// The table stopped where the residual mass dropped below
 			// its threshold; landing past it (probability < 1e-12)

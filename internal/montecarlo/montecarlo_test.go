@@ -136,9 +136,10 @@ func TestEstimateValidation(t *testing.T) {
 }
 
 func TestEstimateHeavyTailGuard(t *testing.T) {
+	// All of the law's mass lies past maxDefectsPerDie.
 	sys := tmr(0.1)
-	dist := defects.Poisson{Lambda: 5}
-	if _, err := Estimate(sys, Options{Defects: dist, Samples: 100, Seed: 3, MaxDefectsPerDie: 1}); err == nil {
+	dist := defects.Poisson{Lambda: 1e5}
+	if _, err := Estimate(sys, Options{Defects: dist, Samples: 100, Seed: 3}); err == nil {
 		t.Error("per-die cap violation not reported")
 	}
 }

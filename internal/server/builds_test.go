@@ -60,6 +60,10 @@ func TestBuildsEndpoint(t *testing.T) {
 	}()
 
 	<-started
+	// The held evaluate request is in flight.
+	if snap := s.Metrics().Snapshot(); snap.Gauges["http.inflight"] < 1 {
+		t.Errorf("http.inflight = %d during a held build, want ≥ 1", snap.Gauges["http.inflight"])
+	}
 	list := getBuilds(t, ts)
 	if len(list.Builds) != 1 {
 		t.Fatalf("in-flight build count = %d, want 1", len(list.Builds))
@@ -111,6 +115,11 @@ func TestBuildsEndpoint(t *testing.T) {
 	}
 	if snap := s.Metrics().Snapshot(); snap.Gauges["build.inflight"] != 0 {
 		t.Errorf("build.inflight after finish = %d, want 0", snap.Gauges["build.inflight"])
+	}
+	// Close waits for every handler to return.
+	ts.Close()
+	if snap := s.Metrics().Snapshot(); snap.Gauges["http.inflight"] != 0 {
+		t.Errorf("http.inflight on an idle server = %d, want 0", snap.Gauges["http.inflight"])
 	}
 }
 

@@ -96,14 +96,7 @@ func (c *modelCache) get(ctx context.Context, key string, build func() (*yield.R
 		c.mu.Unlock()
 	} else {
 		entry = &cacheEntry{key: key, ready: make(chan struct{})}
-		c.byKey[key] = c.lru.PushFront(entry)
-		for c.lru.Len() > c.capacity {
-			back := c.lru.Back()
-			delete(c.byKey, back.Value.(*cacheEntry).key)
-			c.lru.Remove(back)
-			c.evictions.Inc()
-		}
-		c.entries.Set(int64(len(c.byKey)))
+		c.insert(entry)
 		c.misses.Inc()
 		c.builds.Inc()
 		c.mu.Unlock()
@@ -150,7 +143,13 @@ func (c *modelCache) putReady(key string, re *yield.Reevaluator) {
 	}
 	entry := &cacheEntry{key: key, ready: make(chan struct{}), re: re}
 	close(entry.ready)
-	c.byKey[key] = c.lru.PushFront(entry)
+	c.insert(entry)
+}
+
+// insert puts entry at the front of the LRU and evicts past capacity.
+// The caller holds c.mu.
+func (c *modelCache) insert(entry *cacheEntry) {
+	c.byKey[entry.key] = c.lru.PushFront(entry)
 	for c.lru.Len() > c.capacity {
 		back := c.lru.Back()
 		delete(c.byKey, back.Value.(*cacheEntry).key)

@@ -220,17 +220,15 @@ func (s *Server) resolve(req *ModelRequest) (*yield.System, []float64, yield.Opt
 }
 
 // compiled returns the cached (or freshly built) Reevaluator for the
-// model, keyed by yield.ModelKey. The build pins the truncation point
-// to the key's resolved M, so every user of the entry — whatever its
-// distribution resolves to — evaluates on exactly the keyed model.
+// model, keyed by yield.ModelKey. The build resolves the same M as the
+// key, so every user of the entry — whatever its distribution resolves
+// to — evaluates on exactly the keyed model.
 func (s *Server) compiled(ctx context.Context, sys *yield.System, opts yield.Options) (re *yield.Reevaluator, key string, m int, hit bool, err error) {
 	key, m, err = yield.ModelKey(sys, opts)
 	if err != nil {
 		return nil, "", 0, false, badRequest{err}
 	}
 	buildOpts := opts
-	buildOpts.ForceM = m
-	buildOpts.ForceMSet = true
 	// The build publishes into the server registry and registers its
 	// BuildState with the tracker for the /v1/builds listing. The
 	// request id of the triggering request labels the build's log lines
@@ -374,9 +372,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, `"lambdas" must list at least one value`)
 		return
 	}
-	if len(req.Lambdas) > s.cfg.MaxSweepPoints {
+	if len(req.Lambdas) > maxSweepPoints {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("sweep of %d points exceeds the server limit of %d", len(req.Lambdas), s.cfg.MaxSweepPoints))
+			fmt.Sprintf("sweep of %d points exceeds the server limit of %d", len(req.Lambdas), maxSweepPoints))
 		return
 	}
 	sys, ps, opts, err := s.resolve(&req.ModelRequest)

@@ -67,11 +67,6 @@ type Config struct {
 	// SweepWorkers caps the worker pool a /v1/sweep request may ask
 	// for (default GOMAXPROCS).
 	SweepWorkers int
-	// MaxSweepPoints bounds the grid size of one sweep request
-	// (default 4096).
-	MaxSweepPoints int
-	// MaxBodyBytes bounds a request body (default 1 MiB).
-	MaxBodyBytes int64
 	// Store, when non-nil, is the persistent second cache tier: on an
 	// LRU miss the server tries a stored compiled model before
 	// rebuilding, writes freshly compiled models through, and
@@ -96,6 +91,13 @@ type Config struct {
 	ShutdownGrace time.Duration
 }
 
+// Limits on input from outside: the grid size of one sweep request
+// and the size of one request body.
+const (
+	maxSweepPoints = 4096
+	maxBodyBytes   = 1 << 20
+)
+
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = ":8344"
@@ -116,12 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SweepWorkers <= 0 {
 		c.SweepWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxSweepPoints <= 0 {
-		c.MaxSweepPoints = 4096
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -243,7 +239,8 @@ func (s *Server) Handler() http.Handler {
 		r = r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id))
 
 		s.requests.Inc()
-		s.inflight.Set(int64(len(s.sem)))
+		s.inflight.Add(1)
+		defer s.inflight.Add(-1)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		s.mux.ServeHTTP(sw, r)
 		dur := time.Since(start)
@@ -303,7 +300,7 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 			writeError(w, http.StatusServiceUnavailable, "server saturated: no evaluation slot within the request timeout")
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		h(w, r.WithContext(ctx))
 	}
 }

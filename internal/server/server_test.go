@@ -393,7 +393,8 @@ func TestLethalitiesOverride(t *testing.T) {
 }
 
 func TestValidationErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxSweepPoints: 4})
+	_, ts := newTestServer(t, Config{})
+	tooMany := `{"bench": "MS2", "defects": {"lambda": 1, "alpha": 2}, "lambdas": [` + strings.Repeat("1,", maxSweepPoints) + `1]}`
 	cases := []struct {
 		name, path, body string
 		want             int
@@ -412,7 +413,7 @@ func TestValidationErrors(t *testing.T) {
 		{"bad mv order", "/v1/evaluate", `{"bench": "MS2", "defects": {"lambda": 1, "alpha": 2}, "mv_order": "zz"}`, http.StatusBadRequest},
 		{"bad lethality count", "/v1/evaluate", `{"bench": "MS2", "defects": {"lambda": 1, "alpha": 2}, "lethalities": [0.5]}`, http.StatusBadRequest},
 		{"empty lambdas", "/v1/sweep", `{"bench": "MS2", "defects": {"lambda": 1, "alpha": 2}, "lambdas": []}`, http.StatusBadRequest},
-		{"too many lambdas", "/v1/sweep", `{"bench": "MS2", "defects": {"lambda": 1, "alpha": 2}, "lambdas": [1,2,3,4,5]}`, http.StatusBadRequest},
+		{"too many lambdas", "/v1/sweep", tooMany, http.StatusBadRequest},
 		{"get on evaluate", "/v1/evaluate", "", http.StatusMethodNotAllowed},
 	}
 	for _, tc := range cases {
@@ -433,6 +434,22 @@ func TestValidationErrors(t *testing.T) {
 		}
 		if code != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, code, tc.want)
+		}
+	}
+}
+
+// TestBodyLimit: a request body one byte over the limit is a 400 that
+// names the cause; one at the limit is read in full.
+func TestBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const prefix, suffix = `{"bench": "`, `"}`
+	for _, size := range []int{maxBodyBytes, maxBodyBytes + 1} {
+		body := prefix + strings.Repeat("x", size-len(prefix)-len(suffix)) + suffix
+		var e errorResponse
+		code := post(t, ts, "/v1/evaluate", body, &e)
+		tooLarge := strings.Contains(e.Error, "request body too large")
+		if code != http.StatusBadRequest || tooLarge != (size > maxBodyBytes) {
+			t.Errorf("%d-byte body: status %d, error %.80q", size, code, e.Error)
 		}
 	}
 }

@@ -77,11 +77,12 @@ func FuzzFrozenDecode(f *testing.F) {
 		if err != nil {
 			f.Fatalf("NewNegativeBinomial: %v", err)
 		}
-		key, m, err := yield.ModelKey(sys, yield.Options{Defects: d, Epsilon: 2e-3})
+		opts := yield.Options{Defects: d, Epsilon: 2e-3}
+		key, _, err := yield.ModelKey(sys, opts)
 		if err != nil {
 			f.Fatalf("ModelKey: %v", err)
 		}
-		re, err := yield.NewReevaluator(sys, yield.Options{Defects: d, Epsilon: 2e-3, ForceM: m, ForceMSet: true})
+		re, err := yield.NewReevaluator(sys, opts)
 		if err != nil {
 			f.Fatalf("NewReevaluator: %v", err)
 		}

@@ -16,11 +16,10 @@ import (
 // inputs).
 func buildSnapshot(t *testing.T, sys *yield.System, opts yield.Options) (*yield.Snapshot, *yield.Reevaluator) {
 	t.Helper()
-	key, m, err := yield.ModelKey(sys, opts)
+	key, _, err := yield.ModelKey(sys, opts)
 	if err != nil {
 		t.Fatalf("ModelKey: %v", err)
 	}
-	opts.ForceM, opts.ForceMSet = m, true
 	re, err := yield.NewReevaluator(sys, opts)
 	if err != nil {
 		t.Fatalf("NewReevaluator: %v", err)

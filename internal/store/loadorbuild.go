@@ -10,8 +10,8 @@ import (
 // describe, serving it from the persistent store when possible:
 //
 //   - store hit → decode + restore, no compile (fromStore = true);
-//   - miss, corruption or revision skew → compile with the truncation
-//     point pinned to the model key's M, then write through.
+//   - miss, corruption or revision skew → compile (the build resolves
+//     the model key's M by construction), then write through.
 //
 // A nil store just compiles — callers can thread an optional store
 // without branching. Corrupt entries are evicted so the next call
@@ -20,7 +20,7 @@ import (
 // batch-side counterpart of the yieldd cache's second tier and uses
 // the same on-disk artifacts.
 func LoadOrBuild(st *Store, sys *yield.System, opts yield.Options) (re *yield.Reevaluator, fromStore bool, err error) {
-	key, m, err := yield.ModelKey(sys, opts)
+	key, _, err := yield.ModelKey(sys, opts)
 	if err != nil {
 		return nil, false, err
 	}
@@ -38,9 +38,7 @@ func LoadOrBuild(st *Store, sys *yield.System, opts yield.Options) (re *yield.Re
 			st.Evict(key)
 		}
 	}
-	buildOpts := opts
-	buildOpts.ForceM, buildOpts.ForceMSet = m, true
-	re, err = yield.NewReevaluator(sys, buildOpts)
+	re, err = yield.NewReevaluator(sys, opts)
 	if err != nil {
 		return nil, false, err
 	}

@@ -19,6 +19,9 @@ var (
 // ReclaimDue is reclaimDue.
 var ReclaimDue = reclaimDue
 
+// EpsilonForM is epsilonForM.
+var EpsilonForM = epsilonForM
+
 // CondVector is condVector without a pass buffer.
 func (r *Reevaluator) CondVector(pprime []float64) ([]float64, float64, error) {
 	return r.condVector(pprime, nil)

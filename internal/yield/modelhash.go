@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"math"
 
-	"socyield/internal/defects"
 	"socyield/internal/logic"
 )
 
@@ -14,8 +13,9 @@ import (
 // evaluation: two (system, options) pairs with equal keys compile
 // bit-identical coded ROBDDs and ROMDDs, so one Reevaluator built for
 // either serves both. The returned m is the truncation point the
-// options resolve to — the M a shared Reevaluator must be constructed
-// with (Options.ForceM/ForceMSet) so cache hits reproduce the
+// options resolve to. ModelKey and the build resolve M through the
+// same function, so a Reevaluator built from the same (system,
+// options) has this M by construction and cache hits reproduce the
 // uncached pipeline exactly.
 //
 // The key hashes everything the diagram structure depends on:
@@ -25,7 +25,7 @@ import (
 //     declared component count C — input and component names are
 //     excluded, they never reach the diagrams;
 //   - the truncation point M (resolved from the defect model, ε and
-//     P_L, or forced);
+//     P_L);
 //   - the two ordering heuristics and the node budget;
 //   - ε itself, so an entry's error-bound contract is part of its
 //     identity.
@@ -35,26 +35,9 @@ import (
 // is independent of them, which is exactly what makes a compiled-model
 // cache effective for (λ, α) exploration against a fixed structure.
 func ModelKey(sys *System, opts Options) (key string, m int, err error) {
-	o, err := opts.withDefaults()
+	o, _, m, err := resolveM(sys, opts)
 	if err != nil {
 		return "", 0, err
-	}
-	if err := sys.Validate(); err != nil {
-		return "", 0, err
-	}
-	lethal, err := defects.Thin(o.Defects, sys.PL())
-	if err != nil {
-		return "", 0, err
-	}
-	m, _, err = defects.TruncationPoint(lethal, o.Epsilon)
-	if err != nil {
-		return "", 0, err
-	}
-	if o.ForceMSet {
-		if o.ForceM < 0 {
-			return "", 0, errNegativeForceM(o.ForceM)
-		}
-		m = o.ForceM
 	}
 	h := sha256.New()
 	var buf [8]byte
@@ -74,10 +57,6 @@ func ModelKey(sys *System, opts Options) (key string, m int, err error) {
 	}
 	return hex.EncodeToString(h.Sum(nil)), m, nil
 }
-
-type errNegativeForceM int
-
-func (e errNegativeForceM) Error() string { return "yield: forced M < 0" }
 
 // hashCone feeds a canonical encoding of the output cone of f to
 // write: reachable gates renumbered in depth-first post-order (the

@@ -1,6 +1,7 @@
 package yield
 
 import (
+	"fmt"
 	"testing"
 
 	"socyield/internal/defects"
@@ -69,7 +70,7 @@ func TestModelKeyIgnoresLethalitiesAndNames(t *testing.T) {
 func TestModelKeyDiscriminates(t *testing.T) {
 	sys := tmrSystem(0.2, 0.15, 0.15)
 	base := Options{Defects: nb(2, 2), Epsilon: 5e-3}
-	k0, _, err := ModelKey(sys, base)
+	k0, m0, err := ModelKey(sys, base)
 	if err != nil {
 		t.Fatalf("ModelKey: %v", err)
 	}
@@ -91,7 +92,10 @@ func TestModelKeyDiscriminates(t *testing.T) {
 			return k, err
 		},
 		"truncation point": func() (string, error) {
-			k, _, err := ModelKey(sys, Options{Defects: nb(2, 2), Epsilon: 5e-3, ForceM: 3, ForceMSet: true})
+			k, m, err := ModelKey(sys, Options{Defects: nb(6, 2), Epsilon: 5e-3})
+			if err == nil && m == m0 {
+				err = fmt.Errorf("law did not move M from %d", m0)
+			}
 			return k, err
 		},
 		"structure": func() (string, error) {
@@ -120,8 +124,5 @@ func TestModelKeyValidates(t *testing.T) {
 	}
 	if _, _, err := ModelKey(nil, Options{Defects: defects.Poisson{Lambda: 1}}); err == nil {
 		t.Error("expected error for nil system")
-	}
-	if _, _, err := ModelKey(sys, Options{Defects: defects.Poisson{Lambda: 1}, ForceM: -1, ForceMSet: true}); err == nil {
-		t.Error("expected error for negative forced M")
 	}
 }

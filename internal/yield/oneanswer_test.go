@@ -83,12 +83,13 @@ func TestConversionLayoutBenchmarkSystems(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", bench, err)
 		}
+		eps := yield.EpsilonForM(t, sys, dist, 3)
 		for _, mv := range yield.AllMVKinds {
 			for _, bits := range yield.AllBitKinds {
 				if !order.Compatible(mv, bits) {
 					continue
 				}
-				opts := yield.Options{Defects: dist, ForceM: 3, ForceMSet: true, MVOrder: mv, BitOrder: bits}
+				opts := yield.Options{Defects: dist, Epsilon: eps, MVOrder: mv, BitOrder: bits}
 				yield.CheckConversionLayout(t, fmt.Sprintf("%s under %v/%v", bench, mv, bits), sys, opts)
 			}
 		}

@@ -47,7 +47,7 @@ func TestReevaluatorSweepsMatchEvaluate(t *testing.T) {
 		t.Fatalf("NewReevaluator: %v", err)
 	}
 	// Sweep component weights; each point must match a fresh Evaluate
-	// forced to the same truncation point.
+	// at the same truncation point.
 	for _, ps := range [][]float64{
 		{0.1, 0.1, 0.1},
 		{0.3, 0.1, 0.05},
@@ -60,7 +60,7 @@ func TestReevaluatorSweepsMatchEvaluate(t *testing.T) {
 		fresh := &System{Name: "sweep", FaultTree: sys.FaultTree, Components: []Component{
 			{Name: "m1", P: ps[0]}, {Name: "m2", P: ps[1]}, {Name: "m3", P: ps[2]},
 		}}
-		want, err := Evaluate(fresh, Options{Defects: dist, Epsilon: 5e-3, ForceM: r.M(), ForceMSet: true})
+		want, err := Evaluate(fresh, Options{Defects: dist, Epsilon: epsilonForM(t, fresh, dist, r.M())})
 		if err != nil {
 			t.Fatalf("Evaluate(%v): %v", ps, err)
 		}
@@ -73,7 +73,8 @@ func TestReevaluatorSweepsMatchEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Yield with Poisson: %v", err)
 	}
-	want, err := Evaluate(sys, Options{Defects: defects.Poisson{Lambda: 1}, Epsilon: 5e-3, ForceM: r.M(), ForceMSet: true})
+	poisson := defects.Poisson{Lambda: 1}
+	want, err := Evaluate(sys, Options{Defects: poisson, Epsilon: epsilonForM(t, sys, poisson, r.M())})
 	if err != nil {
 		t.Fatalf("Evaluate Poisson: %v", err)
 	}
@@ -141,12 +142,11 @@ func TestSensitivities(t *testing.T) {
 	down := &System{Name: "s", FaultTree: sys.FaultTree, Components: []Component{
 		{Name: "c1", P: 0.2 - d}, {Name: "c2", P: 0.15}, {Name: "c3", P: 0.15},
 	}}
-	o := Options{Defects: dist, Epsilon: 5e-3, ForceM: r.M(), ForceMSet: true}
-	hi, err := Evaluate(bump, o)
+	hi, err := Evaluate(bump, Options{Defects: dist, Epsilon: epsilonForM(t, bump, dist, r.M())})
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
-	lo, err := Evaluate(down, o)
+	lo, err := Evaluate(down, Options{Defects: dist, Epsilon: epsilonForM(t, down, dist, r.M())})
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}

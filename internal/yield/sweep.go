@@ -2,6 +2,7 @@ package yield
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"runtime"
 	"sync"
@@ -15,7 +16,7 @@ import (
 
 // SweepPoint is one evaluation request of a sweep: per-component
 // lethalities PS (the paper's P_i) under defect distribution Dist.
-// When Dist is nil the point inherits SweepOptions.Dist.
+// A point with a nil Dist reports an error.
 type SweepPoint struct {
 	PS   []float64
 	Dist defects.Distribution
@@ -39,9 +40,6 @@ type SweepOptions struct {
 	// count: every point's arithmetic is self-contained, so a sweep
 	// with Workers: 8 is bit-identical to Workers: 1.
 	Workers int
-	// Dist is the default defect distribution for points that leave
-	// SweepPoint.Dist nil.
-	Dist defects.Distribution
 	// Recorder, when non-nil, receives sweep instrumentation: a
 	// "sweep.passes" counter (ROMDD passes, one per distinct
 	// lethality vector), a "sweep.point_ns" latency histogram of the
@@ -118,16 +116,11 @@ func (r *Reevaluator) Sweep(points []SweepPoint, opts SweepOptions) []SweepResul
 	}
 
 	// Group the points with a distribution by their P_i vector.
-	dists := make([]defects.Distribution, len(points))
 	vecOf := make([]int, len(points))
 	var vecs []sweepVector
 	index := map[string]int{}
 	for i, pt := range points {
-		dists[i] = pt.Dist
-		if dists[i] == nil {
-			dists[i] = opts.Dist
-		}
-		if dists[i] == nil {
+		if pt.Dist == nil {
 			continue
 		}
 		key := lethalityKey(pt.PS)
@@ -159,7 +152,7 @@ func (r *Reevaluator) Sweep(points []SweepPoint, opts SweepOptions) []SweepResul
 	})
 	forEach(len(points), workers, func(i int, _ *mdd.PassBuffer) {
 		defer opts.Progress.Add(1)
-		if dists[i] == nil {
+		if points[i].Dist == nil {
 			out[i] = SweepResult{Err: errNoDist}
 			errCnt.Inc()
 			return
@@ -172,7 +165,7 @@ func (r *Reevaluator) Sweep(points []SweepPoint, opts SweepOptions) []SweepResul
 		err := v.err
 		var y, bound float64
 		if err == nil {
-			y, bound, err = r.lawYield(dists[i], v.pl, v.g, v.s)
+			y, bound, err = r.lawYield(points[i].Dist, v.pl, v.g, v.s)
 		}
 		out[i] = SweepResult{Yield: y, ErrorBound: bound, Err: err}
 		if rec != nil {
@@ -226,14 +219,8 @@ func lethalityKey(ps []float64) string {
 	return string(b)
 }
 
-// errNoDist reports a sweep point with no distribution anywhere.
-var errNoDist = errNoDistribution{}
-
-type errNoDistribution struct{}
-
-func (errNoDistribution) Error() string {
-	return "yield: sweep point has no distribution (set SweepPoint.Dist or SweepOptions.Dist)"
-}
+// errNoDist reports a sweep point with no distribution.
+var errNoDist = errors.New("yield: sweep point has no distribution (set SweepPoint.Dist)")
 
 // LambdaGrid is a convenience builder for the most common sweep: fixed
 // per-component lethalities ps evaluated against one distribution per

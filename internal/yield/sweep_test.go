@@ -85,32 +85,31 @@ func TestSweepDefaultsAndErrors(t *testing.T) {
 	if got := r.Sweep(nil, SweepOptions{}); len(got) != 0 {
 		t.Errorf("empty sweep returned %d results", len(got))
 	}
-	// Default distribution from options; per-point override; missing
-	// distribution and invalid PS reported per point.
+	// Each point's own distribution; missing distribution and invalid
+	// PS reported per point.
 	points := []SweepPoint{
-		{PS: []float64{0.2, 0.15, 0.15}},
+		{PS: []float64{0.2, 0.15, 0.15}, Dist: dist},
 		{PS: []float64{0.2, 0.15, 0.15}, Dist: defects.Poisson{Lambda: 1}},
-		{PS: []float64{0.5}},                       // wrong length
+		{PS: []float64{0.5}, Dist: dist},           // wrong length
 		{PS: []float64{0.9, 0.9, 0.9}, Dist: dist}, // P_L > 1
+		{PS: []float64{0.2, 0.15, 0.15}},           // no distribution
 	}
-	res := r.Sweep(points, SweepOptions{Dist: dist})
+	res := r.Sweep(points, SweepOptions{})
 	if res[0].Err != nil || res[1].Err != nil {
 		t.Fatalf("valid points errored: %v, %v", res[0].Err, res[1].Err)
 	}
 	y0, _, _ := r.Yield(points[0].PS, dist)
 	if res[0].Yield != y0 {
-		t.Errorf("default-dist point: %v, want %v", res[0].Yield, y0)
+		t.Errorf("first point: %v, want %v", res[0].Yield, y0)
 	}
 	y1, _, _ := r.Yield(points[1].PS, defects.Poisson{Lambda: 1})
 	if res[1].Yield != y1 {
-		t.Errorf("override-dist point: %v, want %v", res[1].Yield, y1)
+		t.Errorf("second point: %v, want %v", res[1].Yield, y1)
 	}
 	if res[2].Err == nil || res[3].Err == nil {
 		t.Errorf("invalid points accepted: %+v, %+v", res[2], res[3])
 	}
-	// No distribution anywhere.
-	res = r.Sweep(points[:1], SweepOptions{})
-	if res[0].Err == nil {
+	if res[4].Err == nil {
 		t.Error("point with no distribution accepted")
 	}
 }

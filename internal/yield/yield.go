@@ -121,10 +121,6 @@ type Options struct {
 	// NodeLimit bounds live ROBDD nodes (and ROMDD nodes); 0 means
 	// unlimited. Exceeding it aborts with ErrNodeLimit.
 	NodeLimit int
-	// ForceM overrides the computed truncation point when > 0 has been
-	// set together with ForceMSet; used by experiments that pin M.
-	ForceM    int
-	ForceMSet bool
 	// Recorder, when non-nil, receives the run's metrics: a span tree
 	// of the pipeline phases, the decision-diagram engine counters
 	// (apply-cache hits/misses, unique-table growth, GC activity), and
@@ -231,29 +227,29 @@ type prepared struct {
 	lethal defects.Distribution
 }
 
-func prepare(sys *System, opts Options) (*prepared, error) {
-	o, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
+// resolveM validates the inputs and resolves the truncation point
+// M = min{m : Σ_{k≤m} Q'_k ≥ 1 − ε} from the lethal law and ε. It is
+// the one place M is decided, so ModelKey and prepare agree on it.
+func resolveM(sys *System, opts Options) (o Options, lethal defects.Distribution, m int, err error) {
+	if o, err = opts.withDefaults(); err != nil {
+		return o, nil, 0, err
 	}
-	if err := sys.Validate(); err != nil {
+	if err = sys.Validate(); err != nil {
+		return o, nil, 0, err
+	}
+	if lethal, err = defects.Thin(o.Defects, sys.PL()); err != nil {
+		return o, nil, 0, err
+	}
+	m, _, err = defects.TruncationPoint(lethal, o.Epsilon)
+	return o, lethal, m, err
+}
+
+func prepare(sys *System, opts Options) (*prepared, error) {
+	o, lethal, m, err := resolveM(sys, opts)
+	if err != nil {
 		return nil, err
 	}
 	pl := sys.PL()
-	lethal, err := defects.Thin(o.Defects, pl)
-	if err != nil {
-		return nil, err
-	}
-	m, _, err := defects.TruncationPoint(lethal, o.Epsilon)
-	if err != nil {
-		return nil, err
-	}
-	if o.ForceMSet {
-		if o.ForceM < 0 {
-			return nil, fmt.Errorf("yield: forced M = %d < 0", o.ForceM)
-		}
-		m = o.ForceM
-	}
 	qprime, tail, err := defects.PMFTable(lethal, m)
 	if err != nil {
 		return nil, err

@@ -60,6 +60,27 @@ func nb(lambda, alpha float64) defects.Distribution {
 	return d
 }
 
+// epsilonForM returns an ε at which dist, thinned by sys's P_L,
+// resolves to the truncation point m: the midpoint between the lethal
+// law's tail beyond m and its tail beyond m − 1.
+func epsilonForM(t testing.TB, sys *System, dist defects.Distribution, m int) float64 {
+	t.Helper()
+	lethal, err := defects.Thin(dist, sys.PL())
+	if err != nil {
+		t.Fatalf("Thin: %v", err)
+	}
+	covered, prev := 0.0, 0.0
+	for k := 0; k <= m; k++ {
+		prev = covered
+		covered += lethal.PMF(k)
+	}
+	eps := ((1 - covered) + (1 - prev)) / 2
+	if got, _, err := defects.TruncationPoint(lethal, eps); err != nil || got != m {
+		t.Fatalf("ε = %v resolves M = %d (%v), want %d", eps, got, err, m)
+	}
+	return eps
+}
+
 func TestSeriesSystemClosedForm(t *testing.T) {
 	// In a series system any lethal defect is fatal: Y_M = Q'_0.
 	sys := seriesSystem(0.2, 0.2, 0.1)
@@ -160,16 +181,13 @@ func TestAllRoutesAgree(t *testing.T) {
 }
 
 func TestYieldMonotoneInM(t *testing.T) {
-	// Y_M is non-decreasing in M (each added term is ≥ 0), so forcing
-	// a smaller M must give a smaller-or-equal (more pessimistic)
-	// yield.
+	// Y_M is non-decreasing in M (each added term is ≥ 0), so a
+	// smaller M must give a smaller-or-equal (more pessimistic) yield.
 	sys := tmrSystem(0.2, 0.2, 0.1)
-	opts := Options{Defects: nb(2, 2), Epsilon: 1e-6}
+	dist := nb(2, 2)
 	prev := -1.0
 	for m := 0; m <= 8; m++ {
-		o := opts
-		o.ForceM, o.ForceMSet = m, true
-		res, err := Evaluate(sys, o)
+		res, err := Evaluate(sys, Options{Defects: dist, Epsilon: epsilonForM(t, sys, dist, m)})
 		if err != nil {
 			t.Fatalf("M=%d: %v", m, err)
 		}
@@ -177,7 +195,7 @@ func TestYieldMonotoneInM(t *testing.T) {
 			t.Errorf("yield decreased with M: %v at M=%d after %v", res.Yield, m, prev)
 		}
 		if res.M != m {
-			t.Errorf("forced M not honoured: %d", res.M)
+			t.Errorf("M = %d, want %d", res.M, m)
 		}
 		prev = res.Yield
 		// The bracketing invariant Y_M ≤ Y ≤ Y_M + tail must hold.
@@ -217,10 +235,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := Evaluate(sys, Options{Defects: nb(1, 1), NodeLimit: -1}); err == nil {
 		t.Error("negative node limit accepted")
-	}
-	o := Options{Defects: nb(1, 1), ForceM: -1, ForceMSet: true}
-	if _, err := Evaluate(sys, o); err == nil {
-		t.Error("negative forced M accepted")
 	}
 }
 

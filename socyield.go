@@ -266,8 +266,8 @@ type SweepPoint = yield.SweepPoint
 type SweepResult = yield.SweepResult
 
 // SweepOptions configure Reevaluator.Sweep: the worker count (default
-// GOMAXPROCS; results are bit-identical for every worker count) and an
-// optional default distribution.
+// GOMAXPROCS; results are bit-identical for every worker count) and
+// optional instrumentation.
 type SweepOptions = yield.SweepOptions
 
 // LambdaGrid builds the sweep points for fixed lethalities ps against
