@@ -42,9 +42,9 @@ func main() {
 		full       = flag.Bool("full", false, "run all fifteen paper rows (slow)")
 		caseList   = flag.String("cases", "", `explicit row list, e.g. "MS6:1,ESEN4x4:1" (overrides -full)`)
 		all        = flag.Bool("all", false, "run every table and ablation")
-		nodeLimit  = flag.Int("nodelimit", 0, "decision-diagram node budget (0 = default 30M)")
-		epsilon    = flag.Float64("eps", 0, "yield error requirement (0 = default 5e-3)")
-		alpha      = flag.Float64("alpha", 0, "NB clustering parameter (0 = default 2)")
+		nodeLimit  = flag.Int("nodelimit", 0, "decision-diagram node budget (0 = 30M for Table 2, 100M for the others)")
+		epsilon    = flag.Float64("eps", 0, "yield error requirement (0 = default 2e-3)")
+		alpha      = flag.Float64("alpha", 0, "NB clustering parameter (0 = default 3.4)")
 		workers    = flag.Int("workers", 0, "cases evaluated concurrently (0 = all cores)")
 		metricsJS  = flag.String("metrics-json", "", "write collected metrics as JSON to this file (\"-\" = stdout)")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file of the run to this file (Perfetto-loadable)")

@@ -24,10 +24,11 @@ import (
 // The MSn defect-lethality weights relative to a master IP, and the
 // total lethality probability P_L. The paper fixes P_L = 0.5 and the
 // ratios P_IPS/P_IPM and P_C/P_IPM to constants lost in the archival
-// copy; these were calibrated against the paper's Table 4 yields
-// (internal/tools/calib2): with the clustering parameter α = 3.4 they
-// reproduce the published MS2 (both λ′) and MS6 yields to four decimal
-// places.
+// copy; these were calibrated against the paper's Table 4 yields: with
+// the clustering parameter α = 3.4 they reproduce the published MS2
+// (both λ′) and MS6 yields to four decimal places.
+// internal/experiments' TestCalibratedConstants checks that they
+// minimize that fit on its grid.
 const (
 	msWeightIPM = 1     // a master IP
 	msWeightIPS = 0.445 // a slave IP
@@ -114,8 +115,8 @@ func MS(n int) (*yield.System, error) {
 
 // The ESENnxm component weights relative to an IPA core, calibrated
 // against the paper's six ESEN4x* yields at the calibrated clustering
-// α = 3.4 (internal/tools/calib3) and validated out-of-sample on the
-// ESEN8x* instances.
+// α = 3.4 and validated out-of-sample on the ESEN8x* instances;
+// internal/experiments' TestCalibratedConstants checks the fit.
 const (
 	esenWeightIPA = 1
 	esenWeightIPB = 1.56

@@ -13,7 +13,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,9 +61,9 @@ func QuickCases() []Case {
 type Config struct {
 	// Alpha is the negative binomial clustering parameter (default
 	// 3.4, the joint calibration with the benchmark weight ratios that
-	// reproduces the paper's published yields — see
-	// internal/tools/calib2 and calib3 — while keeping the truncation
-	// points at the paper's M = 6 for λ′ = 1 and M = 10 for λ′ = 2).
+	// reproduces the paper's published yields, checked by
+	// TestCalibratedConstants, while keeping the truncation points at
+	// the paper's M = 6 for λ′ = 1 and M = 10 for λ′ = 2).
 	Alpha float64
 	// Epsilon is the yield error requirement (default 2e-3, inside
 	// the window that yields exactly those truncation points at the
@@ -626,27 +625,4 @@ func FormatTable(header []string, rows [][]string) string {
 		writeRow(r)
 	}
 	return sb.String()
-}
-
-// SortCases orders cases as the paper's tables do (already the
-// PaperCases order); it is exposed for callers assembling subsets.
-func SortCases(cases []Case) {
-	rank := make(map[Case]int, len(PaperCases()))
-	for i, c := range PaperCases() {
-		rank[c] = i
-	}
-	sort.SliceStable(cases, func(a, b int) bool {
-		ra, oka := rank[cases[a]]
-		rb, okb := rank[cases[b]]
-		switch {
-		case oka && okb:
-			return ra < rb
-		case oka:
-			return true
-		case okb:
-			return false
-		default:
-			return cases[a].String() < cases[b].String()
-		}
-	})
 }

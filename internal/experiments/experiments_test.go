@@ -216,10 +216,10 @@ func TestUnknownBenchmark(t *testing.T) {
 
 func TestPaperDataAccessors(t *testing.T) {
 	for _, c := range PaperCases() {
-		if _, ok := PaperTable2(c); !ok {
+		if _, ok := paperTable2[c]; !ok {
 			t.Errorf("no paper Table 2 row for %v", c)
 		}
-		if _, ok := PaperTable3(c); !ok {
+		if _, ok := paperTable3[c]; !ok {
 			t.Errorf("no paper Table 3 row for %v", c)
 		}
 		if _, ok := PaperTable4(c); !ok {
@@ -242,17 +242,6 @@ func TestFormatTable(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "a     long-header") {
 		t.Errorf("header misaligned: %q", lines[0])
-	}
-}
-
-func TestSortCases(t *testing.T) {
-	cases := []Case{{"ESEN4x1", 2}, {"MS2", 1}, {"ZZZ", 9}, {"MS4", 1}}
-	SortCases(cases)
-	if cases[0] != (Case{"MS2", 1}) || cases[1] != (Case{"MS4", 1}) {
-		t.Errorf("order: %v", cases)
-	}
-	if cases[3] != (Case{"ZZZ", 9}) {
-		t.Errorf("unknown case not last: %v", cases)
 	}
 }
 

@@ -11,7 +11,7 @@ func cell(n int) Cell { return Cell{Size: n} }
 func failed() Cell    { return Cell{Failed: true} }
 
 // paperTable2: ROMDD sizes per MV ordering (ε as in the paper; our
-// runs use the calibrated ε = 5e-3 giving the same M values).
+// runs use Config's calibrated ε = 2e-3 giving the same M values).
 var paperTable2 = map[Case]map[string]Cell{
 	{"MS2", 1}:     {"wv": cell(3202), "wvr": cell(2034), "vw": cell(2035), "vrw": cell(73405), "t": cell(3202), "w": cell(2034), "h": cell(3202)},
 	{"MS4", 1}:     {"wv": cell(28392), "wvr": cell(22760), "vw": cell(22761), "vrw": cell(882505), "t": cell(28392), "w": cell(22760), "h": cell(28392)},
@@ -69,12 +69,6 @@ var paperTable4 = map[Case]PaperPerf{
 	{"ESEN4x2", 2}: {CPUSeconds: 18.34, Peak: 757529, ROBDD: 378686, ROMDD: 30783, Yield: 0.642},
 	{"ESEN4x4", 2}: {CPUSeconds: 108.52, Peak: 3027309, ROBDD: 1513441, ROMDD: 96231, Yield: 0.605},
 }
-
-// PaperTable2 exposes the published Table 2 row for a case.
-func PaperTable2(c Case) (map[string]Cell, bool) { v, ok := paperTable2[c]; return v, ok }
-
-// PaperTable3 exposes the published Table 3 row for a case.
-func PaperTable3(c Case) (map[string]Cell, bool) { v, ok := paperTable3[c]; return v, ok }
 
 // PaperTable4 exposes the published Table 4 row for a case.
 func PaperTable4(c Case) (PaperPerf, bool) { v, ok := paperTable4[c]; return v, ok }

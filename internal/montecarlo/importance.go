@@ -208,6 +208,9 @@ func EstimateIS(sys *yield.System, opts ISOptions) (ISResult, error) {
 		}
 	}
 	main := opts.Samples - pilot
+	pilotChunks := (pilot + chunkSize - 1) / chunkSize
+	mainChunks := (main + chunkSize - 1) / chunkSize
+	workers = min(workers, max(pilotChunks, mainChunks))
 
 	rec := opts.Recorder
 	var chunkNS *obs.Histogram
@@ -227,7 +230,6 @@ func EstimateIS(sys *yield.System, opts ISOptions) (ISResult, error) {
 	fails := make([]int, maxK+1)
 	if pilot > 0 {
 		cdf0, w0 := tiltedTable(q, lq, 0)
-		pilotChunks := (pilot + chunkSize - 1) / chunkSize
 		tallies := make([]isTally, pilotChunks)
 		pilotSeed := chunkSeed(opts.Seed, math.MaxInt32)
 		err := runPhase(workers, pilotChunks, newSc, func(chunk int, sc *scratch) error {
@@ -270,7 +272,6 @@ func EstimateIS(sys *yield.System, opts ISOptions) (ISResult, error) {
 
 	// Main phase: tilted sampling with per-sample likelihood weights.
 	cdfT, wT := tiltedTable(q, lq, theta)
-	mainChunks := (main + chunkSize - 1) / chunkSize
 	partials := make([]isPartial, mainChunks)
 	err = runPhase(workers, mainChunks, newSc, func(chunk int, sc *scratch) error {
 		n := chunkSize

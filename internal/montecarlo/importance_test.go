@@ -318,3 +318,25 @@ func TestImportanceRecorder(t *testing.T) {
 		t.Errorf("ESS = %v outside (0, %d]", instr.ESS, samples)
 	}
 }
+
+// TestImportanceWorkersGaugeClamped checks that mc.is.workers reports
+// the workers the run starts, as mc.workers does, not the requested
+// count: a 100-sample run is one chunk per phase, so one worker.
+func TestImportanceWorkersGaugeClamped(t *testing.T) {
+	sys := tmr(0.15)
+	dist, err := defects.NewNegativeBinomial(0.3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isRec, mcRec := obs.NewRegistry(), obs.NewRegistry()
+	if _, err := EstimateIS(sys, ISOptions{Defects: dist, Samples: 100, Seed: 7, Workers: 8, Recorder: isRec}); err != nil {
+		t.Fatalf("EstimateIS: %v", err)
+	}
+	if _, err := Estimate(sys, Options{Defects: dist, Samples: 100, Seed: 7, Workers: 8, Recorder: mcRec}); err != nil {
+		t.Fatalf("Estimate: %v", err)
+	}
+	is, mc := isRec.Snapshot().Gauges["mc.is.workers"], mcRec.Snapshot().Gauges["mc.workers"]
+	if is != 1 || mc != 1 {
+		t.Errorf("mc.is.workers = %d, mc.workers = %d, want 1 and 1", is, mc)
+	}
+}

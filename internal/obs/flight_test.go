@@ -124,7 +124,7 @@ func TestSamplerNilSafety(t *testing.T) {
 	var s *Sampler
 	s.Start()
 	s.Stop()
-	if s.Samples() != nil || s.Dropped() != 0 || s.Interval() != 0 {
+	if s.Samples() != nil || s.Dropped() != 0 {
 		t.Error("nil sampler not inert")
 	}
 	if got := NewSampler(nil, 0, 0); got != nil {

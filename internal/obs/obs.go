@@ -32,10 +32,8 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -170,13 +168,6 @@ func (h *Histogram) Observe(v int64) {
 		}
 	}
 	h.buckets[bucketOf(v)].Add(1)
-}
-
-// ObserveSince records the nanoseconds elapsed since t0.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	if h != nil {
-		h.Observe(int64(time.Since(t0)))
-	}
 }
 
 // Count returns the number of observations (0 on a nil receiver).
@@ -412,15 +403,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(append(data, '\n'))
 	return err
-}
-
-// SortedBucketKeys returns the keys of an int64-valued metric map in
-// sorted order — a convenience for deterministic textual dumps.
-func SortedBucketKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -57,7 +57,6 @@ func TestNilReceivers(t *testing.T) {
 		t.Error("nil float gauge loaded nonzero")
 	}
 	r.Histogram("x").Observe(1)
-	r.Histogram("x").ObserveSince(time.Now())
 	if r.Histogram("x").Count() != 0 || r.Histogram("x").Sum() != 0 {
 		t.Error("nil histogram counted")
 	}
@@ -277,10 +276,6 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 	if len(snap.Spans) != 1 || snap.Spans[0].Name != "evaluate" {
 		t.Errorf("span roundtrip = %+v", snap.Spans)
-	}
-	keys := SortedBucketKeys(snap.Counters)
-	if len(keys) != 1 || keys[0] != "bdd.apply_cache_hits" {
-		t.Errorf("SortedBucketKeys = %v", keys)
 	}
 }
 

@@ -159,14 +159,6 @@ func (s *Sampler) Stop() {
 	})
 }
 
-// Interval returns the sampling period (0 on a nil receiver).
-func (s *Sampler) Interval() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.interval
-}
-
 func (s *Sampler) sampleNow() {
 	sample := s.reg.sampleScalars(s.start)
 	s.mu.Lock()

@@ -149,18 +149,6 @@ type BuildStatus = obs.BuildStatus
 // NewBuildState returns a build tracker with the clock started.
 func NewBuildState() *BuildState { return obs.NewBuildState() }
 
-// ProgressMeter periodically prints completion lines ("done/total,
-// rate, ETA") for long sweeps or simulations. A nil *ProgressMeter is
-// valid everywhere and prints nothing.
-type ProgressMeter = obs.Progress
-
-// NewProgressMeter starts a progress meter writing to w every interval
-// (≤ 0 means 1s); total ≤ 0 means the total is unknown. Call Close
-// when the work is done.
-func NewProgressMeter(w io.Writer, label string, total int, interval time.Duration) *ProgressMeter {
-	return obs.NewProgress(w, label, total, interval)
-}
-
 // BruteForce computes the same estimate exactly by one dynamic program
 // over the ROBDD of the fault tree itself, bounded by
 // Options.NodeLimit on that diagram. It shares the BDD engine with
