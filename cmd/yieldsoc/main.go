@@ -84,15 +84,11 @@ func loadCompiled(path, key string) (*yield.Reevaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap, err := store.Decode(data)
+	re, err := store.Unpack(key, data)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w — rebuild with -save-model or match the original flags", path, err)
 	}
-	if snap.ModelKey != key {
-		return nil, fmt.Errorf("%s holds model %.12s… (system %q), these flags describe model %.12s… — rebuild with -save-model or match the original flags",
-			path, snap.ModelKey, snap.SystemName, key)
-	}
-	return yield.RestoreReevaluator(snap)
+	return re, nil
 }
 
 // saveCompiled persists the compiled model. A directory destination
@@ -100,9 +96,7 @@ func loadCompiled(path, key string) (*yield.Reevaluator, error) {
 // yieldd -store-dir pre-compiles models for the server. A file
 // destination writes atomically via a sibling temp file.
 func saveCompiled(path, key string, re *yield.Reevaluator) error {
-	snap := re.Snapshot()
-	snap.ModelKey = key
-	data, err := store.Encode(snap)
+	data, err := store.Pack(key, re)
 	if err != nil {
 		return err
 	}
@@ -342,8 +336,7 @@ func run() error {
 	if *mcSamples > 0 {
 		var meter *obs.Progress
 		if *progress {
-			chunks := (*mcSamples + 4095) / 4096
-			meter = obs.NewProgress(os.Stderr, "monte-carlo", chunks, 0)
+			meter = obs.NewProgress(os.Stderr, "monte-carlo", *mcSamples, 0)
 		}
 		mc, err := montecarlo.Estimate(sys, montecarlo.Options{
 			Defects: dist, Samples: *mcSamples, Seed: 1, Workers: *workers,
@@ -369,18 +362,7 @@ func run() error {
 			isOpts.Tilt, isOpts.TiltSet = *mcTilt, true
 		}
 		if *progress {
-			// Mirror EstimateIS's budget split: an adaptive run spends
-			// min(Samples/4, 8192) on the untilted pilot, a fixed-tilt run
-			// skips the pilot entirely; one progress tick per 4096-die chunk.
-			pilot := 0
-			if !isOpts.TiltSet {
-				pilot = *mcIS / 4
-				if pilot > 8192 {
-					pilot = 8192
-				}
-			}
-			chunks := (pilot+4095)/4096 + (*mcIS-pilot+4095)/4096
-			isOpts.Progress = obs.NewProgress(os.Stderr, "monte-carlo-is", chunks, 0)
+			isOpts.Progress = obs.NewProgress(os.Stderr, "monte-carlo-is", *mcIS, 0)
 		}
 		is, err := montecarlo.EstimateIS(sys, isOpts)
 		isOpts.Progress.Close()

@@ -11,11 +11,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"socyield/internal/benchmarks"
@@ -23,6 +21,7 @@ import (
 	"socyield/internal/montecarlo"
 	"socyield/internal/obs"
 	"socyield/internal/order"
+	"socyield/internal/par"
 	"socyield/internal/yield"
 )
 
@@ -121,65 +120,31 @@ func (c Config) limit(def int) int {
 	return def
 }
 
-// workers resolves the configured case concurrency.
-func (c Config) workers(cases int) int {
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > cases {
-		w = cases
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// forEachCase evaluates fn for every case on a bounded worker pool and
-// returns the results in case order. Cases are independent — each
-// builds its own managers — so this is the embarrassingly parallel
-// outer loop of every table driver. On error the first failing case
-// (in case order, for determinism) is reported.
-func forEachCase[T any](cases []Case, cfg Config, fn func(cs Case) (T, error)) ([]T, error) {
+// runCases evaluates fn for every case, with the case's benchmark
+// system and defect law, on Config.Workers goroutines, and returns the
+// results in case order. Cases are independent — each builds its own
+// managers — so this is the embarrassingly parallel outer loop of
+// every table driver. On error the first failing case in case order
+// is reported.
+func runCases[T any](cases []Case, cfg Config, fn func(cs Case, sys *yield.System, dist defects.Distribution) (T, error)) ([]T, error) {
 	out := make([]T, len(cases))
-	if len(cases) == 0 {
-		return out, nil
-	}
-	errs := make([]error, len(cases))
-	workers := cfg.workers(len(cases))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cases) {
-					return
-				}
-				out[i], errs[i] = fn(cases[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := par.For(len(cases), par.Workers(cfg.Workers, len(cases)), nil, func(i int, _ struct{}) error {
+		cs := cases[i]
+		sys, err := benchmarks.ByName(cs.Benchmark)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		dist, err := distribution(cs, cfg)
+		if err != nil {
+			return err
+		}
+		out[i], err = fn(cs, sys, dist)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// buildSystem instantiates a named benchmark.
-func buildSystem(name string) (*yield.System, error) {
-	for _, e := range benchmarks.PaperBenchmarks() {
-		if e.Name == name {
-			return e.Build()
-		}
-	}
-	return nil, fmt.Errorf("experiments: unknown benchmark %q", name)
 }
 
 // distribution returns the defect distribution of a case: negative
@@ -248,15 +213,7 @@ func Table2MVOrderings() []order.MVKind {
 // evaluating Config.Workers cases concurrently.
 func Table2(cases []Case, cfg Config) ([]Table2Row, error) {
 	cfg = cfg.withDefaults()
-	return forEachCase(cases, cfg, func(cs Case) (Table2Row, error) {
-		sys, err := buildSystem(cs.Benchmark)
-		if err != nil {
-			return Table2Row{}, err
-		}
-		dist, err := distribution(cs, cfg)
-		if err != nil {
-			return Table2Row{}, err
-		}
+	return runCases(cases, cfg, func(cs Case, sys *yield.System, dist defects.Distribution) (Table2Row, error) {
 		row := Table2Row{Case: cs, Sizes: make(map[string]Cell), Paper: paperTable2[cs]}
 		for _, mv := range Table2MVOrderings() {
 			res, err := yield.Evaluate(sys, yield.Options{
@@ -267,7 +224,7 @@ func Table2(cases []Case, cfg Config) ([]Table2Row, error) {
 			switch {
 			case err == nil:
 				row.Sizes[mv.String()] = Cell{Size: res.ROMDDSize}
-			case isLimit(err):
+			case errors.Is(err, yield.ErrNodeLimit):
 				row.Sizes[mv.String()] = Cell{Failed: true}
 			default:
 				return Table2Row{}, fmt.Errorf("%v/%v: %w", cs, mv, err)
@@ -294,15 +251,7 @@ func Table3BitOrderings() []order.BitKind {
 // Config.Workers cases concurrently.
 func Table3(cases []Case, cfg Config) ([]Table3Row, error) {
 	cfg = cfg.withDefaults()
-	return forEachCase(cases, cfg, func(cs Case) (Table3Row, error) {
-		sys, err := buildSystem(cs.Benchmark)
-		if err != nil {
-			return Table3Row{}, err
-		}
-		dist, err := distribution(cs, cfg)
-		if err != nil {
-			return Table3Row{}, err
-		}
+	return runCases(cases, cfg, func(cs Case, sys *yield.System, dist defects.Distribution) (Table3Row, error) {
 		row := Table3Row{Case: cs, Sizes: make(map[string]Cell), Paper: paperTable3[cs]}
 		for _, bk := range Table3BitOrderings() {
 			res, err := yield.Evaluate(sys, yield.Options{
@@ -313,7 +262,7 @@ func Table3(cases []Case, cfg Config) ([]Table3Row, error) {
 			switch {
 			case err == nil:
 				row.Sizes[bk.String()] = Cell{Size: res.CodedROBDDSize}
-			case isLimit(err):
+			case errors.Is(err, yield.ErrNodeLimit):
 				row.Sizes[bk.String()] = Cell{Failed: true}
 			default:
 				return Table3Row{}, fmt.Errorf("%v/%v: %w", cs, bk, err)
@@ -353,15 +302,7 @@ type PaperPerf struct {
 // contended wall-clock; use Workers: 1 for clean timings).
 func Table4(cases []Case, cfg Config) ([]Table4Row, error) {
 	cfg = cfg.withDefaults()
-	return forEachCase(cases, cfg, func(cs Case) (Table4Row, error) {
-		sys, err := buildSystem(cs.Benchmark)
-		if err != nil {
-			return Table4Row{}, err
-		}
-		dist, err := distribution(cs, cfg)
-		if err != nil {
-			return Table4Row{}, err
-		}
+	return runCases(cases, cfg, func(cs Case, sys *yield.System, dist defects.Distribution) (Table4Row, error) {
 		start := time.Now()
 		res, err := yield.Evaluate(sys, yield.Options{
 			Defects: dist, Epsilon: cfg.Epsilon,
@@ -380,7 +321,7 @@ func Table4(cases []Case, cfg Config) ([]Table4Row, error) {
 			row.ROMDD = res.ROMDDSize
 			row.Yield = res.Yield
 			row.M = res.M
-		case isLimit(err):
+		case errors.Is(err, yield.ErrNodeLimit):
 			row.Failed = true
 			if res != nil {
 				row.Peak = res.ROBDDPeak
@@ -408,15 +349,7 @@ type AblationRow struct {
 // evaluating Config.Workers cases concurrently.
 func AblationDirectMDD(cases []Case, cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
-	return forEachCase(cases, cfg, func(cs Case) (AblationRow, error) {
-		sys, err := buildSystem(cs.Benchmark)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		dist, err := distribution(cs, cfg)
-		if err != nil {
-			return AblationRow{}, err
-		}
+	return runCases(cases, cfg, func(cs Case, sys *yield.System, dist defects.Distribution) (AblationRow, error) {
 		opts := yield.Options{
 			Defects: dist, Epsilon: cfg.Epsilon,
 			MVOrder: order.MVWeight, BitOrder: order.BitML,
@@ -432,7 +365,7 @@ func AblationDirectMDD(cases []Case, cfg Config) ([]AblationRow, error) {
 		direct, err := yield.EvaluateDirectMDD(sys, opts)
 		row := AblationRow{Case: cs, CodedTime: codedTime, ROMDD: viaCoded.ROMDDSize}
 		if err != nil {
-			if !isLimit(err) {
+			if !errors.Is(err, yield.ErrNodeLimit) {
 				return AblationRow{}, fmt.Errorf("%v direct route: %w", cs, err)
 			}
 			row.DirectFailed = true
@@ -467,20 +400,12 @@ type BaselineRow struct {
 // out instead).
 func BaselineMonteCarlo(cases []Case, samples int, cfg Config) ([]BaselineRow, error) {
 	cfg = cfg.withDefaults()
-	caseWorkers := cfg.workers(len(cases))
+	caseWorkers := par.Workers(cfg.Workers, len(cases))
 	mcWorkers := 1
 	if caseWorkers == 1 {
 		mcWorkers = cfg.Workers // ≤ 0 lets the simulator pick GOMAXPROCS
 	}
-	return forEachCase(cases, cfg, func(cs Case) (BaselineRow, error) {
-		sys, err := buildSystem(cs.Benchmark)
-		if err != nil {
-			return BaselineRow{}, err
-		}
-		dist, err := distribution(cs, cfg)
-		if err != nil {
-			return BaselineRow{}, err
-		}
+	return runCases(cases, cfg, func(cs Case, sys *yield.System, dist defects.Distribution) (BaselineRow, error) {
 		start := time.Now()
 		exact, err := yield.Evaluate(sys, yield.Options{
 			Defects: dist, Epsilon: cfg.Epsilon, NodeLimit: cfg.limit(defaultPerfNodeLimit), Recorder: cfg.Recorder, Tracer: cfg.Tracer,
@@ -534,20 +459,12 @@ type ISBaselineRow struct {
 // the simulator single-worker, a lone case fans its samples out.
 func BaselineImportance(cases []Case, samples int, cfg Config) ([]ISBaselineRow, error) {
 	cfg = cfg.withDefaults()
-	caseWorkers := cfg.workers(len(cases))
+	caseWorkers := par.Workers(cfg.Workers, len(cases))
 	isWorkers := 1
 	if caseWorkers == 1 {
 		isWorkers = cfg.Workers // ≤ 0 lets the simulator pick GOMAXPROCS
 	}
-	return forEachCase(cases, cfg, func(cs Case) (ISBaselineRow, error) {
-		sys, err := buildSystem(cs.Benchmark)
-		if err != nil {
-			return ISBaselineRow{}, err
-		}
-		dist, err := distribution(cs, cfg)
-		if err != nil {
-			return ISBaselineRow{}, err
-		}
+	return runCases(cases, cfg, func(cs Case, sys *yield.System, dist defects.Distribution) (ISBaselineRow, error) {
 		start := time.Now()
 		exact, err := yield.Evaluate(sys, yield.Options{
 			Defects: dist, Epsilon: cfg.Epsilon, NodeLimit: cfg.limit(defaultPerfNodeLimit), Recorder: cfg.Recorder, Tracer: cfg.Tracer,
@@ -582,10 +499,6 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-func isLimit(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "node limit")
 }
 
 // FormatTable renders rows of named columns as an aligned text table.

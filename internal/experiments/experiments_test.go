@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"socyield/internal/benchmarks"
 	"socyield/internal/yield"
 )
 
@@ -450,7 +451,7 @@ func TestTable4YieldsFromDP(t *testing.T) {
 		if !ok {
 			t.Fatalf("results/table4.txt has no row %q", cs)
 		}
-		sys, err := buildSystem(cs.Benchmark)
+		sys, err := benchmarks.ByName(cs.Benchmark)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"socyield/internal/benchmarks"
 	"socyield/internal/defects"
 	"socyield/internal/yield"
 )
@@ -105,7 +106,7 @@ func TestCalibratedConstants(t *testing.T) {
 	alpha := Config{}.withDefaults().Alpha
 	systems := map[string]*yield.System{}
 	for _, name := range []string{"MS2", "MS6", "ESEN4x1", "ESEN4x2", "ESEN4x4"} {
-		sys, err := buildSystem(name)
+		sys, err := benchmarks.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func TestCalibratedConstants(t *testing.T) {
 		}
 		sys, ok := systems[cs.Benchmark]
 		if !ok {
-			if sys, err = buildSystem(cs.Benchmark); err != nil {
+			if sys, err = benchmarks.ByName(cs.Benchmark); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -41,14 +41,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"socyield/internal/defects"
 	"socyield/internal/obs"
+	"socyield/internal/par"
 	"socyield/internal/yield"
 )
 
@@ -78,8 +75,8 @@ type ISOptions struct {
 	// counters, a "mc.is.chunk_ns" histogram, and "mc.tilt"/"mc.ess"/
 	// "mc.rel_err" diagnostic gauges.
 	Recorder *obs.Registry
-	// Progress, when non-nil, is advanced by one per completed chunk
-	// (pilot and main).
+	// Progress, when non-nil, is advanced by the dies of each completed
+	// chunk, pilot and main, so a run advances it by Samples in all.
 	Progress *obs.Progress
 }
 
@@ -194,34 +191,15 @@ func EstimateIS(sys *yield.System, opts ISOptions) (ISResult, error) {
 		}
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	pilot := opts.PilotSamples
 	if opts.TiltSet {
 		pilot = 0
 	} else if pilot == 0 {
-		pilot = opts.Samples / 4
-		if pilot > 8192 {
-			pilot = 8192
-		}
+		pilot = min(opts.Samples/4, 8192)
 	}
 	main := opts.Samples - pilot
-	pilotChunks := (pilot + chunkSize - 1) / chunkSize
-	mainChunks := (main + chunkSize - 1) / chunkSize
-	workers = min(workers, max(pilotChunks, mainChunks))
-
-	rec := opts.Recorder
-	var chunkNS *obs.Histogram
-	var chunkCnt, sampleCnt *obs.Counter
-	if rec != nil {
-		chunkNS = rec.Histogram("mc.is.chunk_ns")
-		chunkCnt = rec.Counter("mc.is.chunks")
-		sampleCnt = rec.Counter("mc.is.samples")
-		rec.Gauge("mc.is.workers").Set(int64(workers))
-	}
-	newSc := func() *scratch { return &scratch{failed: make([]bool, c)} }
+	workers := par.Workers(opts.Workers, max(numChunks(pilot), numChunks(main)))
+	chunks := newChunkRun(opts.Recorder, "mc.is.", opts.Progress, workers, c)
 
 	// Pilot phase: untilted (θ = 0) sampling conditioned on k ≥ 1,
 	// tallying per-count conditional failure rates. Its stream family
@@ -230,30 +208,13 @@ func EstimateIS(sys *yield.System, opts ISOptions) (ISResult, error) {
 	fails := make([]int, maxK+1)
 	if pilot > 0 {
 		cdf0, w0 := tiltedTable(q, lq, 0)
-		tallies := make([]isTally, pilotChunks)
+		tallies := make([]isTally, numChunks(pilot))
 		pilotSeed := chunkSeed(opts.Seed, math.MaxInt32)
-		err := runPhase(workers, pilotChunks, newSc, func(chunk int, sc *scratch) error {
-			n := chunkSize
-			if rem := pilot - chunk*chunkSize; rem < n {
-				n = rem
-			}
-			var t0 time.Time
-			if rec != nil {
-				t0 = time.Now()
-			}
-			tally := &isTally{trials: make([]int, maxK+1), fails: make([]int, maxK+1)}
+		err := chunks.run(pilot, func(chunk, n int, sc *scratch) error {
+			tally := &tallies[chunk]
+			tally.trials, tally.fails = make([]int, maxK+1), make([]int, maxK+1)
 			_, err := simulateISChunk(sys, rand.New(rand.NewSource(chunkSeed(pilotSeed, chunk))), n, cdf0, w0, cum, pl, sc, tally)
-			if err != nil {
-				return err
-			}
-			tallies[chunk] = *tally
-			if rec != nil {
-				chunkNS.Observe(int64(time.Since(t0)))
-				chunkCnt.Inc()
-				sampleCnt.Add(int64(n))
-			}
-			opts.Progress.Add(1)
-			return nil
+			return err
 		})
 		if err != nil {
 			return ISResult{}, err
@@ -272,28 +233,11 @@ func EstimateIS(sys *yield.System, opts ISOptions) (ISResult, error) {
 
 	// Main phase: tilted sampling with per-sample likelihood weights.
 	cdfT, wT := tiltedTable(q, lq, theta)
-	partials := make([]isPartial, mainChunks)
-	err = runPhase(workers, mainChunks, newSc, func(chunk int, sc *scratch) error {
-		n := chunkSize
-		if rem := main - chunk*chunkSize; rem < n {
-			n = rem
-		}
-		var t0 time.Time
-		if rec != nil {
-			t0 = time.Now()
-		}
-		p, err := simulateISChunk(sys, rand.New(rand.NewSource(chunkSeed(opts.Seed, chunk))), n, cdfT, wT, cum, pl, sc, nil)
-		if err != nil {
-			return err
-		}
-		partials[chunk] = p
-		if rec != nil {
-			chunkNS.Observe(int64(time.Since(t0)))
-			chunkCnt.Inc()
-			sampleCnt.Add(int64(n))
-		}
-		opts.Progress.Add(1)
-		return nil
+	partials := make([]isPartial, numChunks(main))
+	err = chunks.run(main, func(chunk, n int, sc *scratch) error {
+		var err error
+		partials[chunk], err = simulateISChunk(sys, rand.New(rand.NewSource(chunkSeed(opts.Seed, chunk))), n, cdfT, wT, cum, pl, sc, nil)
+		return err
 	})
 	if err != nil {
 		return ISResult{}, err
@@ -325,7 +269,7 @@ func EstimateIS(sys *yield.System, opts ISOptions) (ISResult, error) {
 	if fhat > 0 {
 		relErr = stdErr / fhat
 	}
-	if rec != nil {
+	if rec := opts.Recorder; rec != nil {
 		rec.FloatGauge("mc.tilt").Set(theta)
 		rec.FloatGauge("mc.ess").Set(ess)
 		if !math.IsInf(relErr, 0) {
@@ -343,40 +287,6 @@ func EstimateIS(sys *yield.System, opts ISOptions) (ISResult, error) {
 		RelErr:       relErr,
 		Degenerate:   failCount == 0,
 	}, nil
-}
-
-// runPhase fans numChunks chunk indices out over a worker pool; do is
-// called once per chunk with a worker-local scratch and must only
-// write chunk-indexed state.
-func runPhase(workers, numChunks int, newSc func() *scratch, do func(chunk int, sc *scratch) error) error {
-	if workers > numChunks {
-		workers = numChunks
-	}
-	var next atomic.Int64
-	var firstErr atomic.Value
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newSc()
-			for {
-				chunk := int(next.Add(1)) - 1
-				if chunk >= numChunks || firstErr.Load() != nil {
-					return
-				}
-				if err := do(chunk, sc); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := firstErr.Load(); err != nil {
-		return err.(error)
-	}
-	return nil
 }
 
 // tiltedTable builds the θ-tilted proposal over k = 1..K: cdf[i] is

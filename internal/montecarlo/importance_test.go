@@ -281,7 +281,7 @@ func TestImportanceRecorder(t *testing.T) {
 		t.Fatalf("EstimateIS: %v", err)
 	}
 	rec := obs.NewRegistry()
-	meter := obs.NewProgress(io.Discard, "is", 10, 0)
+	meter := obs.NewProgress(io.Discard, "is", samples, 0)
 	instr, err := EstimateIS(sys, ISOptions{
 		Defects: dist, Samples: samples, Seed: 7, Workers: 2,
 		Recorder: rec, Progress: meter,
@@ -302,8 +302,8 @@ func TestImportanceRecorder(t *testing.T) {
 	if want := int64(pilotChunks + mainChunks); snap.Counters["mc.is.chunks"] != want {
 		t.Errorf("mc.is.chunks = %d, want %d", snap.Counters["mc.is.chunks"], want)
 	}
-	if meter.Done() != int64(pilotChunks+mainChunks) {
-		t.Errorf("progress advanced %d chunks, want %d", meter.Done(), pilotChunks+mainChunks)
+	if meter.Done() != samples {
+		t.Errorf("progress advanced %d dies, want %d", meter.Done(), samples)
 	}
 	if snap.FloatGauges["mc.tilt"] != instr.Tilt {
 		t.Errorf("mc.tilt = %v, want %v", snap.FloatGauges["mc.tilt"], instr.Tilt)

@@ -17,13 +17,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
 
 	"socyield/internal/defects"
 	"socyield/internal/obs"
+	"socyield/internal/par"
 	"socyield/internal/yield"
 )
 
@@ -45,7 +45,8 @@ type Options struct {
 	// aggregate rate. Per-chunk granularity (4096 dies), so the per-die
 	// loop stays clock-free.
 	Recorder *obs.Registry
-	// Progress, when non-nil, is advanced by one per completed chunk.
+	// Progress, when non-nil, is advanced by the dies of each completed
+	// chunk, so a run advances it by Samples in all.
 	Progress *obs.Progress
 }
 
@@ -151,53 +152,24 @@ func Estimate(sys *yield.System, opts Options) (Result, error) {
 		}
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	numChunks := (opts.Samples + chunkSize - 1) / chunkSize
-	if workers > numChunks {
-		workers = numChunks
-	}
-
 	rec := opts.Recorder
-	var chunkNS *obs.Histogram
-	var chunkCnt, sampleCnt *obs.Counter
 	var runStart time.Time
 	if rec != nil {
-		chunkNS = rec.Histogram("mc.chunk_ns")
-		chunkCnt = rec.Counter("mc.chunks")
-		sampleCnt = rec.Counter("mc.samples")
-		rec.Gauge("mc.workers").Set(int64(workers))
 		runStart = time.Now()
 	}
+	chunks := newChunkRun(rec, "mc.", opts.Progress, par.Workers(opts.Workers, numChunks(opts.Samples)), c)
 	var functioning atomic.Int64
-	newSc := func() *scratch { return &scratch{failed: make([]bool, c)} }
-	err := runPhase(workers, numChunks, newSc, func(chunk int, sc *scratch) error {
-		n := chunkSize
-		if rem := opts.Samples - chunk*chunkSize; rem < n {
-			n = rem
-		}
-		var t0 time.Time
-		if rec != nil {
-			t0 = time.Now()
-		}
+	err := chunks.run(opts.Samples, func(chunk, n int, sc *scratch) error {
 		ok, err := simulateChunk(sys, rand.New(rand.NewSource(chunkSeed(opts.Seed, chunk))), n, countCDF, cum, pl, sc)
 		if err != nil {
 			return err
 		}
-		if rec != nil {
-			chunkNS.Observe(int64(time.Since(t0)))
-			chunkCnt.Inc()
-			sampleCnt.Add(int64(n))
-		}
-		opts.Progress.Add(1)
 		functioning.Add(int64(ok))
 		return nil
 	})
 	if rec != nil {
 		if wall := time.Since(runStart).Seconds(); wall > 0 {
-			rec.FloatGauge("mc.samples_per_sec").Set(float64(sampleCnt.Load()) / wall)
+			rec.FloatGauge("mc.samples_per_sec").Set(float64(chunks.sampleCnt.Load()) / wall)
 		}
 	}
 	if err != nil {
@@ -211,6 +183,58 @@ func Estimate(sys *yield.System, opts Options) (Result, error) {
 		Samples:    opts.Samples,
 		Degenerate: ok == 0 || ok == int64(opts.Samples),
 	}, nil
+}
+
+// numChunks is the number of chunks of a phase of dies dies.
+func numChunks(dies int) int { return (dies + chunkSize - 1) / chunkSize }
+
+// chunkRun is the per-chunk bookkeeping every simulation phase shares:
+// the worker count, the chunk instruments (nil without a Recorder) and
+// the progress meter, which advances by the dies of each chunk.
+type chunkRun struct {
+	workers, components int
+	chunkNS             *obs.Histogram
+	chunkCnt, sampleCnt *obs.Counter
+	progress            *obs.Progress
+}
+
+// newChunkRun resolves the instruments prefix+"chunk_ns",
+// prefix+"chunks" and prefix+"samples" in rec and sets the
+// prefix+"workers" gauge. c is the system's component count.
+func newChunkRun(rec *obs.Registry, prefix string, progress *obs.Progress, workers, c int) *chunkRun {
+	rec.Gauge(prefix + "workers").Set(int64(workers))
+	return &chunkRun{
+		workers:    workers,
+		components: c,
+		chunkNS:    rec.Histogram(prefix + "chunk_ns"),
+		chunkCnt:   rec.Counter(prefix + "chunks"),
+		sampleCnt:  rec.Counter(prefix + "samples"),
+		progress:   progress,
+	}
+}
+
+// run simulates dies dies in chunks of chunkSize on the run's workers.
+// sim simulates the n dies of one chunk with a worker-local scratch
+// and must write only chunk-indexed state.
+func (r *chunkRun) run(dies int, sim func(chunk, n int, sc *scratch) error) error {
+	newSc := func() *scratch { return &scratch{failed: make([]bool, r.components)} }
+	return par.For(numChunks(dies), r.workers, newSc, func(chunk int, sc *scratch) error {
+		n := min(chunkSize, dies-chunk*chunkSize)
+		var t0 time.Time
+		if r.chunkNS != nil {
+			t0 = time.Now()
+		}
+		if err := sim(chunk, n, sc); err != nil {
+			return err
+		}
+		if r.chunkNS != nil {
+			r.chunkNS.Observe(int64(time.Since(t0)))
+			r.chunkCnt.Inc()
+			r.sampleCnt.Add(int64(n))
+		}
+		r.progress.Add(n)
+		return nil
+	})
 }
 
 // scratch is one worker's reusable buffers: the per-die failed-state

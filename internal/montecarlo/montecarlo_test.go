@@ -222,7 +222,7 @@ func TestEstimateDegenerateSample(t *testing.T) {
 
 // TestEstimateRecorder checks the simulation instrumentation: chunk
 // and sample counters, determinism under a recorder, and the progress
-// hook advancing once per chunk.
+// hook advancing by the dies of each chunk.
 func TestEstimateRecorder(t *testing.T) {
 	sys := tmr(0.15)
 	dist, _ := defects.NewNegativeBinomial(2, 2)
@@ -232,7 +232,7 @@ func TestEstimateRecorder(t *testing.T) {
 		t.Fatalf("Estimate: %v", err)
 	}
 	rec := obs.NewRegistry()
-	meter := obs.NewProgress(io.Discard, "mc", 3, 0)
+	meter := obs.NewProgress(io.Discard, "mc", samples, 0)
 	instr, err := Estimate(sys, Options{
 		Defects: dist, Samples: samples, Seed: 7, Workers: 2,
 		Recorder: rec, Progress: meter,
@@ -252,8 +252,8 @@ func TestEstimateRecorder(t *testing.T) {
 	if snap.Counters["mc.samples"] != samples {
 		t.Errorf("mc.samples = %d, want %d", snap.Counters["mc.samples"], samples)
 	}
-	if meter.Done() != wantChunks {
-		t.Errorf("progress advanced %d chunks, want %d", meter.Done(), wantChunks)
+	if meter.Done() != samples {
+		t.Errorf("progress advanced %d dies, want %d", meter.Done(), samples)
 	}
 	if snap.FloatGauges["mc.samples_per_sec"] <= 0 {
 		t.Error("mc.samples_per_sec not positive")

@@ -30,7 +30,6 @@ type modelCache struct {
 	misses    *obs.Counter
 	coalesced *obs.Counter
 	evictions *obs.Counter
-	builds    *obs.Counter
 	entries   *obs.Gauge
 	waiting   *obs.Gauge
 
@@ -59,7 +58,6 @@ func newModelCache(capacity int, rec *obs.Registry) *modelCache {
 		misses:    rec.Counter("cache.misses"),
 		coalesced: rec.Counter("cache.coalesced"),
 		evictions: rec.Counter("cache.evictions"),
-		builds:    rec.Counter("cache.builds"),
 		entries:   rec.Gauge("cache.entries"),
 		waiting:   rec.Gauge("build.queue_depth"),
 		capacity:  capacity,
@@ -98,7 +96,6 @@ func (c *modelCache) get(ctx context.Context, key string, build func() (*yield.R
 		entry = &cacheEntry{key: key, ready: make(chan struct{})}
 		c.insert(entry)
 		c.misses.Inc()
-		c.builds.Inc()
 		c.mu.Unlock()
 		// Build outside the lock and off the request's lifetime: the
 		// winning requester may time out, but the compile still

@@ -183,9 +183,9 @@ func TestCacheHitCounter(t *testing.T) {
 		t.Errorf("model keys: %q vs %q", first.ModelKey, second.ModelKey)
 	}
 	snap := s.Metrics().Snapshot()
-	if snap.Counters["cache.hits"] != 1 || snap.Counters["cache.misses"] != 1 || snap.Counters["cache.builds"] != 1 {
-		t.Errorf("cache counters: hits=%d misses=%d builds=%d, want 1/1/1",
-			snap.Counters["cache.hits"], snap.Counters["cache.misses"], snap.Counters["cache.builds"])
+	if snap.Counters["cache.hits"] != 1 || snap.Counters["cache.misses"] != 1 || snap.Counters["build.compiles"] != 1 {
+		t.Errorf("counters: cache.hits=%d cache.misses=%d build.compiles=%d, want 1/1/1",
+			snap.Counters["cache.hits"], snap.Counters["cache.misses"], snap.Counters["build.compiles"])
 	}
 	if snap.Counters["http.requests"] < 2 {
 		t.Errorf("http.requests=%d, want ≥ 2", snap.Counters["http.requests"])
@@ -230,8 +230,8 @@ func TestConcurrentIdenticalRequestsCompileOnce(t *testing.T) {
 		}
 	}
 	snap := s.Metrics().Snapshot()
-	if snap.Counters["cache.builds"] != 1 {
-		t.Errorf("cache.builds=%d, want 1 (single-flight)", snap.Counters["cache.builds"])
+	if snap.Counters["build.compiles"] != 1 {
+		t.Errorf("build.compiles=%d, want 1 (single-flight)", snap.Counters["build.compiles"])
 	}
 	if got := snap.Counters["cache.hits"] + snap.Counters["cache.misses"]; got != n {
 		t.Errorf("hits+misses=%d, want %d", got, n)
@@ -472,8 +472,8 @@ func TestNodeLimitAndRetry(t *testing.T) {
 		t.Fatalf("retry: status %d, want 422", code)
 	}
 	snap := s2.Metrics().Snapshot()
-	if snap.Counters["cache.builds"] != 2 {
-		t.Errorf("cache.builds=%d, want 2 (failed build must not be cached)", snap.Counters["cache.builds"])
+	if snap.Counters["build.compiles"] != 2 {
+		t.Errorf("build.compiles=%d, want 2 (failed build must not be cached)", snap.Counters["build.compiles"])
 	}
 	// The unlimited server still works.
 	var ok EvaluateResponse
@@ -505,8 +505,8 @@ func TestLRUEviction(t *testing.T) {
 	if snap.Counters["cache.evictions"] != 2 {
 		t.Errorf("cache.evictions=%d, want 2", snap.Counters["cache.evictions"])
 	}
-	if snap.Counters["cache.builds"] != 3 {
-		t.Errorf("cache.builds=%d, want 3", snap.Counters["cache.builds"])
+	if snap.Counters["build.compiles"] != 3 {
+		t.Errorf("build.compiles=%d, want 3", snap.Counters["build.compiles"])
 	}
 }
 

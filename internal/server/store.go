@@ -41,16 +41,7 @@ func (s *Server) loadFromStore(key, reqID string) *yield.Reevaluator {
 		}
 		return nil
 	}
-	snap, err := store.Decode(data)
-	if err == nil && snap.ModelKey != key {
-		// A file renamed onto the wrong key would otherwise serve the
-		// wrong model forever; treat it exactly like corruption.
-		err = errors.New("stored model key does not match its address")
-	}
-	var re *yield.Reevaluator
-	if err == nil {
-		re, err = yield.RestoreReevaluator(snap)
-	}
+	re, err := store.Unpack(key, data)
 	if err != nil {
 		s.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "evicting undecodable stored model",
 			slog.String("request_id", reqID), slog.String("model_key", key), slog.Any("error", err))
@@ -69,9 +60,7 @@ func (s *Server) saveToStore(key, reqID string, re *yield.Reevaluator) {
 	if st == nil {
 		return
 	}
-	snap := re.Snapshot()
-	snap.ModelKey = key
-	data, err := store.Encode(snap)
+	data, err := store.Pack(key, re)
 	if err == nil {
 		err = st.Put(key, data)
 	}

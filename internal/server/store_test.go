@@ -155,8 +155,8 @@ func TestStoreSecondTierServesLRUMiss(t *testing.T) {
 	if snap.Counters["build.compiles"] != 0 {
 		t.Errorf("build.compiles=%d, want 0: the store must satisfy the LRU miss", snap.Counters["build.compiles"])
 	}
-	if snap.Counters["cache.builds"] != 1 {
-		t.Errorf("cache.builds=%d, want 1: the MS2 request must enter the build slot", snap.Counters["cache.builds"])
+	if snap.Counters["cache.misses"] != 1 {
+		t.Errorf("cache.misses=%d, want 1: the MS2 request must enter the build slot", snap.Counters["cache.misses"])
 	}
 	if snap.Counters["store.hits"] != 2 { // warm start + LRU-miss probe
 		t.Errorf("store.hits=%d, want 2", snap.Counters["store.hits"])

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"errors"
+	"fmt"
 
 	"socyield/internal/yield"
 )
@@ -26,14 +26,8 @@ func LoadOrBuild(st *Store, sys *yield.System, opts yield.Options) (re *yield.Re
 	}
 	if st != nil {
 		if data, gerr := st.Get(key); gerr == nil {
-			snap, derr := Decode(data)
-			if derr == nil && snap.ModelKey != key {
-				derr = errors.New("store: stored model key does not match its address")
-			}
-			if derr == nil {
-				if re, rerr := yield.RestoreReevaluator(snap); rerr == nil {
-					return re, true, nil
-				}
+			if re, uerr := Unpack(key, data); uerr == nil {
+				return re, true, nil
 			}
 			st.Evict(key)
 		}
@@ -43,11 +37,32 @@ func LoadOrBuild(st *Store, sys *yield.System, opts yield.Options) (re *yield.Re
 		return nil, false, err
 	}
 	if st != nil {
-		snap := re.Snapshot()
-		snap.ModelKey = key
-		if data, eerr := Encode(snap); eerr == nil {
+		if data, perr := Pack(key, re); perr == nil {
 			st.Put(key, data)
 		}
 	}
 	return re, false, nil
+}
+
+// Pack encodes a compiled model for storage under key: it snapshots
+// re, stamps the snapshot with key and encodes it.
+func Pack(key string, re *yield.Reevaluator) ([]byte, error) {
+	snap := re.Snapshot()
+	snap.ModelKey = key
+	return Encode(snap)
+}
+
+// Unpack restores the compiled model stored under key. Besides every
+// failure of Decode, it rejects a model whose own key is not key: a
+// file renamed onto the wrong address would otherwise serve the wrong
+// model forever.
+func Unpack(key string, data []byte) (*yield.Reevaluator, error) {
+	snap, err := Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if snap.ModelKey != key {
+		return nil, fmt.Errorf("store: holds model %.12s… (system %q), want model %.12s…", snap.ModelKey, snap.SystemName, key)
+	}
+	return yield.RestoreReevaluator(snap)
 }

@@ -1,7 +1,6 @@
 package yield
 
 import (
-	"fmt"
 	"runtime"
 	"runtime/metrics"
 	"time"
@@ -105,7 +104,7 @@ func build(parent *obs.Span, sys *System, opts Options) (model, error) {
 	res.Phases.Compile = time.Since(t0)
 	sp.End()
 	if err != nil {
-		return md, fmt.Errorf("yield: compiling coded ROBDD: %w", err)
+		return md, stageErr("compiling coded ROBDD", err)
 	}
 
 	bs.StartPhase(obs.BuildConvert, 0)
@@ -134,7 +133,7 @@ func build(parent *obs.Span, sys *System, opts Options) (model, error) {
 	res.Stats.ConvertPeakLive = bm.PeakLive()
 	res.ROBDDPeak = max(res.ROBDDPeak, res.Stats.ConvertPeakLive)
 	if err != nil {
-		return md, fmt.Errorf("yield: converting to ROMDD: %w", err)
+		return md, stageErr("converting to ROMDD", err)
 	}
 	md.frozen = mm.Freeze(mroot)
 	heap.ConvertEnd = readHeap()

@@ -1,8 +1,6 @@
 package yield
 
 import (
-	"fmt"
-
 	"socyield/internal/bdd"
 	"socyield/internal/compile"
 	"socyield/internal/order"
@@ -68,7 +66,7 @@ func NewCondFail(sys *System, opts Options) (*CondFail, error) {
 	bm := bdd.New(c, bdd.WithNodeLimit(p.opts.NodeLimit))
 	root, err := compile.Netlist(bm, sys.FaultTree, levels)
 	if err != nil {
-		return nil, fmt.Errorf("yield: compiling the ROBDD of F: %w", err)
+		return nil, stageErr("compiling the ROBDD of F", err)
 	}
 	comp := make([]int, c)
 	for ord, lv := range levels {

@@ -73,11 +73,6 @@ func NewReevaluator(sys *System, opts Options) (*Reevaluator, error) {
 func buildReevaluator(span string, sys *System, opts Options) (*Reevaluator, *Result, error) {
 	rec := opts.Recorder
 	bs := opts.BuildState
-	// The publisher starts (and its stop handshake runs) outside the
-	// root span, so live publishing does not eat into the inter-phase
-	// budget the span-coverage tests bound.
-	stopLive := startLivePublisher(rec, bs)
-	defer stopLive()
 	rootSpan := rec.Span(span)
 	defer rootSpan.End()
 	defer bs.Finish()

@@ -4,14 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"socyield/internal/defects"
 	"socyield/internal/mdd"
 	"socyield/internal/obs"
+	"socyield/internal/par"
 )
 
 // SweepPoint is one evaluation request of a sweep: per-component
@@ -53,20 +51,6 @@ type SweepOptions struct {
 	Progress *obs.Progress
 }
 
-func (o SweepOptions) workers(points int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > points {
-		w = points
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // sweepVector is one distinct lethality vector of a sweep with its
 // split ROMDD pass.
 type sweepVector struct {
@@ -98,7 +82,7 @@ func (r *Reevaluator) Sweep(points []SweepPoint, opts SweepOptions) []SweepResul
 	if len(points) == 0 {
 		return out
 	}
-	workers := opts.workers(len(points))
+	workers := par.Workers(opts.Workers, len(points))
 	rec := opts.Recorder
 	// Resolve instruments once, outside the point loop; nil stays nil
 	// and the loop takes the uninstrumented branch.
@@ -135,10 +119,13 @@ func (r *Reevaluator) Sweep(points []SweepPoint, opts SweepOptions) []SweepResul
 		vecOf[i] = j
 	}
 
-	forEach(len(vecs), workers, func(j int, buf *mdd.PassBuffer) {
+	// Each worker owns its pass buffer; the frozen ROMDD itself is
+	// shared read-only.
+	newBuf := func() *mdd.PassBuffer { return new(mdd.PassBuffer) }
+	_ = par.For(len(vecs), workers, newBuf, func(j int, buf *mdd.PassBuffer) error {
 		v := &vecs[j]
 		if v.err != nil {
-			return
+			return nil
 		}
 		var t0 time.Time
 		if rec != nil {
@@ -149,13 +136,14 @@ func (r *Reevaluator) Sweep(points []SweepPoint, opts SweepOptions) []SweepResul
 			busyNS.Add(int64(time.Since(t0)))
 			passCnt.Inc()
 		}
+		return nil
 	})
-	forEach(len(points), workers, func(i int, _ *mdd.PassBuffer) {
+	_ = par.For(len(points), workers, nil, func(i int, _ struct{}) error {
 		defer opts.Progress.Add(1)
 		if points[i].Dist == nil {
 			out[i] = SweepResult{Err: errNoDist}
 			errCnt.Inc()
-			return
+			return nil
 		}
 		var t0 time.Time
 		if rec != nil {
@@ -177,6 +165,7 @@ func (r *Reevaluator) Sweep(points []SweepPoint, opts SweepOptions) []SweepResul
 				errCnt.Inc()
 			}
 		}
+		return nil
 	})
 	if rec != nil {
 		wall := time.Since(sweepStart)
@@ -185,29 +174,6 @@ func (r *Reevaluator) Sweep(points []SweepPoint, opts SweepOptions) []SweepResul
 		}
 	}
 	return out
-}
-
-// forEach calls fn(i, buf) for every i in [0, n) on up to workers
-// goroutines. Each goroutine owns its pass buffer; the frozen ROMDD
-// itself is shared read-only.
-func forEach(n, workers int, fn func(i int, buf *mdd.PassBuffer)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf mdd.PassBuffer
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i, &buf)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // lethalityKey identifies a P_i vector by its bits.

@@ -32,10 +32,28 @@ import (
 	"socyield/internal/order"
 )
 
-// ErrNodeLimit reports that the decision-diagram engines exceeded the
-// configured node budget — the reproduction of the paper's "—"
-// (memory exhaustion) entries.
-var ErrNodeLimit = bdd.ErrNodeLimit
+// ErrNodeLimit reports that a decision-diagram engine exceeded
+// Options.NodeLimit — the reproduction of the paper's "—" (memory
+// exhaustion) entries. Every node-budget failure of this package
+// matches it under errors.Is, whichever engine ran out, and still
+// matches that engine's own sentinel (bdd.ErrNodeLimit for the ROBDD,
+// mdd.ErrNodeLimit for the ROMDD).
+var ErrNodeLimit = errors.New("yield: node limit exceeded")
+
+// limitError is an engine's node-budget failure: it reads as the
+// engine's error and also matches ErrNodeLimit.
+type limitError struct{ error }
+
+func (e limitError) Unwrap() []error { return []error{e.error, ErrNodeLimit} }
+
+// stageErr reports err from the named build stage, marking an engine's
+// node-budget failure as ErrNodeLimit.
+func stageErr(stage string, err error) error {
+	if errors.Is(err, bdd.ErrNodeLimit) || errors.Is(err, mdd.ErrNodeLimit) {
+		err = limitError{err}
+	}
+	return fmt.Errorf("yield: %s: %w", stage, err)
+}
 
 // Component is one component of the system-on-chip.
 type Component struct {
@@ -364,7 +382,7 @@ func EvaluateDirectMDD(sys *System, opts Options) (*Result, error) {
 	t0 = time.Now()
 	mm, mroot, err := buildDirectMDD(sys.FaultTree, p.m, len(sys.Components), plan.GroupSeq, p.opts.NodeLimit)
 	if err != nil {
-		return res, fmt.Errorf("yield: direct ROMDD construction: %w", err)
+		return res, stageErr("direct ROMDD construction", err)
 	}
 	res.Stats.MDD = mm.BuildStats()
 	frozen := mm.Freeze(mroot)

@@ -10,6 +10,7 @@ import (
 
 	"socyield/internal/defects"
 	"socyield/internal/logic"
+	"socyield/internal/mdd"
 	"socyield/internal/order"
 )
 
@@ -284,6 +285,12 @@ func TestNodeLimitPropagates(t *testing.T) {
 	}
 	if res == nil || res.ROBDDPeak == 0 {
 		t.Error("failed evaluation must still report the peak reached")
+	}
+	// The direct route runs out of ROMDD nodes, not ROBDD nodes; its
+	// failure must match the same sentinel and still name its engine.
+	_, err = EvaluateDirectMDD(sys, Options{Defects: nb(4, 0.25), Epsilon: 1e-6, NodeLimit: 16})
+	if !errors.Is(err, ErrNodeLimit) || !errors.Is(err, mdd.ErrNodeLimit) {
+		t.Errorf("direct route: err = %v, want ErrNodeLimit and mdd.ErrNodeLimit", err)
 	}
 }
 
