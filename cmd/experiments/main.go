@@ -35,32 +35,30 @@ import (
 
 func main() {
 	var (
-		table      = flag.Int("table", 0, "regenerate table 1-4")
-		ablation   = flag.String("ablation", "", `ablation to run ("direct-mdd")`)
-		baseline   = flag.String("baseline", "", `baseline to run ("mc" naive, "is" importance sampling)`)
-		samples    = flag.Int("samples", 200000, "Monte-Carlo samples per case")
-		full       = flag.Bool("full", false, "run all fifteen paper rows (slow)")
-		caseList   = flag.String("cases", "", `explicit row list, e.g. "MS6:1,ESEN4x4:1" (overrides -full)`)
-		all        = flag.Bool("all", false, "run every table and ablation")
-		nodeLimit  = flag.Int("nodelimit", 0, "decision-diagram node budget (0 = 30M for Table 2, 100M for the others)")
-		epsilon    = flag.Float64("eps", 0, "yield error requirement (0 = default 2e-3)")
-		alpha      = flag.Float64("alpha", 0, "NB clustering parameter (0 = default 3.4)")
-		workers    = flag.Int("workers", 0, "cases evaluated concurrently (0 = all cores)")
-		metricsJS  = flag.String("metrics-json", "", "write collected metrics as JSON to this file (\"-\" = stdout)")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file of the run to this file (Perfetto-loadable)")
-		samplesOut = flag.String("samples-out", "", "write the sampled metrics time series as JSONL to this file (\"-\" = stdout)")
-		sampleInt  = flag.Duration("sample-interval", 0, "flight-recorder sampling interval (0 = 100ms default)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address")
+		table     = flag.Int("table", 0, "regenerate table 1-4")
+		ablation  = flag.String("ablation", "", `ablation to run ("direct-mdd")`)
+		baseline  = flag.String("baseline", "", `baseline to run ("mc" naive, "is" importance sampling)`)
+		samples   = flag.Int("samples", 200000, "Monte-Carlo samples per case")
+		full      = flag.Bool("full", false, "run all fifteen paper rows (slow)")
+		caseList  = flag.String("cases", "", `explicit row list, e.g. "MS6:1,ESEN4x4:1" (overrides -full)`)
+		all       = flag.Bool("all", false, "run every table and ablation")
+		nodeLimit = flag.Int("nodelimit", 0, "decision-diagram node budget (0 = 30M for Table 2, 100M for the others)")
+		epsilon   = flag.Float64("eps", 0, "yield error requirement (0 = default 2e-3)")
+		alpha     = flag.Float64("alpha", 0, "NB clustering parameter (0 = default 3.4)")
+		workers   = flag.Int("workers", 0, "cases evaluated concurrently (0 = all cores)")
+		metricsJS = flag.String("metrics-json", "", "write collected metrics as JSON to this file (\"-\" = stdout)")
+		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event file of the run to this file (Perfetto-loadable)")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address")
 	)
 	flag.Parse()
 	var rec *obs.Registry
-	if *metricsJS != "" || *traceOut != "" || *samplesOut != "" {
+	if *metricsJS != "" || *traceOut != "" {
 		rec = obs.NewRegistry()
 	}
 	if *pprofAddr != "" {
 		cliutil.ServeDebug("experiments", *pprofAddr)
 	}
-	flight := cliutil.StartFlightRecorder(rec, *traceOut, *samplesOut, *sampleInt)
+	flight := cliutil.StartFlightRecorder(rec, *traceOut)
 	cfg := experiments.Config{Alpha: *alpha, Epsilon: *epsilon, NodeLimit: *nodeLimit, Workers: *workers, Recorder: rec, Tracer: flight.Tracer()}
 	cases := experiments.QuickCases()
 	if *full || *all {

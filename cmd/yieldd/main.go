@@ -56,21 +56,19 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8344", "listen address")
-		cacheSize  = flag.Int("cache", 32, "compiled models kept in the LRU cache")
-		nodeLimit  = flag.Int("nodelimit", 0, "decision-diagram node budget per model (0 = default 8M, <0 = unlimited)")
-		maxConc    = flag.Int("max-concurrent", 0, "concurrent evaluations (0 = 2×GOMAXPROCS)")
-		timeout    = flag.Duration("timeout", 60*time.Second, "per-request timeout")
-		sweepWork  = flag.Int("sweep-workers", 0, "worker cap for /v1/sweep (0 = all cores)")
-		gracePer   = flag.Duration("grace", 10*time.Second, "shutdown drain period")
-		logJSON    = flag.Bool("log-json", false, "log one JSON object per request instead of text")
-		quiet      = flag.Bool("quiet", false, "disable request logging")
-		slowReq    = flag.Duration("slow-request", 0, "log requests slower than this as warnings (0 = 10s default, <0 = off)")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file of the server's lifetime on shutdown (Perfetto-loadable)")
-		samplesOut = flag.String("samples-out", "", "write the sampled metrics time series as JSONL on shutdown")
-		sampleInt  = flag.Duration("sample-interval", 0, "flight-recorder sampling interval (0 = 100ms default)")
-		storeDir   = flag.String("store-dir", "", "persist compiled models to this directory (second cache tier, shared across restarts and replicas)")
-		storeMax   = flag.Int64("store-max-bytes", 0, "on-disk LRU size cap for -store-dir (0 = unlimited)")
+		addr      = flag.String("addr", ":8344", "listen address")
+		cacheSize = flag.Int("cache", 32, "compiled models kept in the LRU cache")
+		nodeLimit = flag.Int("nodelimit", 0, "decision-diagram node budget per model (0 = default 8M, <0 = unlimited)")
+		maxConc   = flag.Int("max-concurrent", 0, "concurrent evaluations (0 = 2×GOMAXPROCS)")
+		timeout   = flag.Duration("timeout", 60*time.Second, "per-request timeout")
+		sweepWork = flag.Int("sweep-workers", 0, "worker cap for /v1/sweep (0 = all cores)")
+		gracePer  = flag.Duration("grace", 10*time.Second, "shutdown drain period")
+		logJSON   = flag.Bool("log-json", false, "log one JSON object per request instead of text")
+		quiet     = flag.Bool("quiet", false, "disable request logging")
+		slowReq   = flag.Duration("slow-request", 0, "log requests slower than this as warnings (0 = 10s default, <0 = off)")
+		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event file of the server's lifetime on shutdown (Perfetto-loadable)")
+		storeDir  = flag.String("store-dir", "", "persist compiled models to this directory (second cache tier, shared across restarts and replicas)")
+		storeMax  = flag.Int64("store-max-bytes", 0, "on-disk LRU size cap for -store-dir (0 = unlimited)")
 	)
 	flag.Parse()
 
@@ -90,10 +88,9 @@ func main() {
 
 	metrics := obs.NewRegistry()
 
-	// The flight recorder samples the registry for the server's whole
-	// lifetime; the artifacts are written after the drain, so the trace
-	// covers every build the server ran.
-	flight := cliutil.StartFlightRecorder(metrics, *traceOut, *samplesOut, *sampleInt)
+	// The trace is written after the drain, so it covers every build
+	// the server ran.
+	flight := cliutil.StartFlightRecorder(metrics, *traceOut)
 
 	var modelStore *store.Store
 	if *storeDir != "" {

@@ -42,12 +42,10 @@
 // Instrumentation: -metrics-json FILE dumps every counter, gauge,
 // histogram and phase span collected during the run as JSON ("-" for
 // stdout); -trace-out FILE records the run as a Chrome trace-event
-// file (open it at ui.perfetto.dev) with phase spans, per-worker build
-// tracks and sampled counters; -samples-out FILE dumps the sampled
-// metrics time series as JSONL (-sample-interval sets the cadence);
-// -progress prints periodic completion lines for sweeps and
-// Monte-Carlo runs; -pprof ADDR serves net/http/pprof on ADDR for the
-// duration of the run.
+// file (open it at ui.perfetto.dev) with the phase spans and one build
+// track of per-gate compile events; -progress prints periodic
+// completion lines for sweeps and Monte-Carlo runs; -pprof ADDR serves
+// net/http/pprof on ADDR for the duration of the run.
 package main
 
 import (
@@ -133,46 +131,44 @@ func saveCompiled(path, key string, re *yield.Reevaluator) error {
 
 func run() error {
 	var (
-		benchName  = flag.String("bench", "", "benchmark system (MS<n> or ESEN<n>x<m>)")
-		file       = flag.String("f", "", "system description file (ftdsl format)")
-		lambda     = flag.Float64("lambda", 2, "expected number of manufacturing defects")
-		alpha      = flag.Float64("alpha", 2, "negative binomial clustering parameter")
-		poisson    = flag.Bool("poisson", false, "use a Poisson defect model instead")
-		alphas     = flag.String("alphas", "", "comma-separated per-level clustering parameters for the multilevel model (innermost first; overrides -alpha/-poisson)")
-		eps        = flag.Float64("eps", 5e-3, "absolute yield error requirement")
-		mvName     = flag.String("mv", "w", "MV-variable ordering: wv wvr vw vrw t w h")
-		bitName    = flag.String("bits", "ml", "bit-group ordering: ml lm t w h")
-		nodeLimit  = flag.Int("nodelimit", 0, "decision-diagram node budget (0 = unlimited)")
-		mcSamples  = flag.Int("mc", 0, "also run a Monte-Carlo cross-check with this many samples")
-		mcIS       = flag.Int("mc-is", 0, "also run an importance-sampling Monte-Carlo cross-check with this many samples (pilot included)")
-		mcTilt     = flag.Float64("mc-tilt", -1, "fixed exponential tilt for -mc-is (negative = adaptive pilot)")
-		sens       = flag.Bool("sensitivity", false, "print per-component yield sensitivities ∂Y/∂P_i")
-		relTimes   = flag.String("reliability", "", "comma-separated mission times for a reliability curve")
-		fRate      = flag.Float64("frate", 1e-3, "field failure rate per component (with -reliability)")
-		sweep      = flag.String("sweep", "", "comma-separated λ values for a batch sweep on the shared ROMDD")
-		workers    = flag.Int("workers", 0, "parallel workers for -sweep and -mc (0 = all cores)")
-		verbose    = flag.Bool("v", false, "print per-phase statistics")
-		metricsJS  = flag.String("metrics-json", "", "write collected metrics as JSON to this file (\"-\" = stdout)")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file of the run to this file (Perfetto-loadable)")
-		samplesOut = flag.String("samples-out", "", "write the sampled metrics time series as JSONL to this file (\"-\" = stdout)")
-		sampleInt  = flag.Duration("sample-interval", 0, "flight-recorder sampling interval (0 = 100ms default)")
-		progress   = flag.Bool("progress", false, "print periodic progress lines for sweeps and Monte-Carlo runs")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address")
-		saveModel  = flag.String("save-model", "", "write the compiled model to this file after the build (an existing directory stores it under <model-key>.scm, yieldd -store-dir compatible)")
-		loadModel  = flag.String("load-model", "", "load a compiled model saved by -save-model instead of building (the flags must describe the model it was compiled from)")
+		benchName = flag.String("bench", "", "benchmark system (MS<n> or ESEN<n>x<m>)")
+		file      = flag.String("f", "", "system description file (ftdsl format)")
+		lambda    = flag.Float64("lambda", 2, "expected number of manufacturing defects")
+		alpha     = flag.Float64("alpha", 2, "negative binomial clustering parameter")
+		poisson   = flag.Bool("poisson", false, "use a Poisson defect model instead")
+		alphas    = flag.String("alphas", "", "comma-separated per-level clustering parameters for the multilevel model (innermost first; overrides -alpha/-poisson)")
+		eps       = flag.Float64("eps", 5e-3, "absolute yield error requirement")
+		mvName    = flag.String("mv", "w", "MV-variable ordering: wv wvr vw vrw t w h")
+		bitName   = flag.String("bits", "ml", "bit-group ordering: ml lm t w h")
+		nodeLimit = flag.Int("nodelimit", 0, "decision-diagram node budget (0 = unlimited)")
+		mcSamples = flag.Int("mc", 0, "also run a Monte-Carlo cross-check with this many samples")
+		mcIS      = flag.Int("mc-is", 0, "also run an importance-sampling Monte-Carlo cross-check with this many samples (pilot included)")
+		mcTilt    = flag.Float64("mc-tilt", -1, "fixed exponential tilt for -mc-is (negative = adaptive pilot)")
+		sens      = flag.Bool("sensitivity", false, "print per-component yield sensitivities ∂Y/∂P_i")
+		relTimes  = flag.String("reliability", "", "comma-separated mission times for a reliability curve")
+		fRate     = flag.Float64("frate", 1e-3, "field failure rate per component (with -reliability)")
+		sweep     = flag.String("sweep", "", "comma-separated λ values for a batch sweep on the shared ROMDD")
+		workers   = flag.Int("workers", 0, "parallel workers for -sweep and -mc (0 = all cores)")
+		verbose   = flag.Bool("v", false, "print per-phase statistics")
+		metricsJS = flag.String("metrics-json", "", "write collected metrics as JSON to this file (\"-\" = stdout)")
+		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event file of the run to this file (Perfetto-loadable)")
+		progress  = flag.Bool("progress", false, "print periodic progress lines for sweeps and Monte-Carlo runs")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address")
+		saveModel = flag.String("save-model", "", "write the compiled model to this file after the build (an existing directory stores it under <model-key>.scm, yieldd -store-dir compatible)")
+		loadModel = flag.String("load-model", "", "load a compiled model saved by -save-model instead of building (the flags must describe the model it was compiled from)")
 	)
 	flag.Parse()
 
 	// One registry instruments the whole run. It is created whenever any
 	// export path wants it; a nil registry records nothing.
 	var rec *obs.Registry
-	if *metricsJS != "" || *traceOut != "" || *samplesOut != "" {
+	if *metricsJS != "" || *traceOut != "" {
 		rec = obs.NewRegistry()
 	}
 	if *pprofAddr != "" {
 		cliutil.ServeDebug("yieldsoc", *pprofAddr)
 	}
-	flight := cliutil.StartFlightRecorder(rec, *traceOut, *samplesOut, *sampleInt)
+	flight := cliutil.StartFlightRecorder(rec, *traceOut)
 
 	sys, err := cliutil.LoadSystem(*benchName, *file)
 	if err != nil {
@@ -243,10 +239,7 @@ func run() error {
 		if res.Yield, res.ErrorBound, err = re.Yield(ps, dist); err != nil {
 			return err
 		}
-		pl := 0.0
-		for _, p := range ps {
-			pl += p
-		}
+		pl := sys.PL()
 		lethal, err := defects.Thin(dist, pl)
 		if err != nil {
 			return err

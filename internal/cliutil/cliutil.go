@@ -2,7 +2,7 @@
 // command-line tools (yieldsoc, experiments, yieldd): loading a system
 // from a benchmark name or an ftdsl file, parsing comma-separated
 // float lists, dumping a metrics registry, running the flight recorder
-// (-trace-out, -samples-out), and serving the pprof debug endpoint.
+// (-trace-out), and serving the pprof debug endpoint.
 package cliutil
 
 import (
@@ -13,7 +13,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"socyield/internal/benchmarks"
 	"socyield/internal/ftdsl"
@@ -57,61 +56,30 @@ func ParseFloats(s string) ([]float64, error) {
 // WriteMetrics dumps the registry snapshot as JSON to path ("-" =
 // stdout).
 func WriteMetrics(rec *obs.Registry, path string) error {
-	if path == "-" {
-		return rec.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeTo(path, rec.WriteJSON)
 }
 
-// FlightRecorder bundles the telemetry sinks a CLI run can carry: a
-// background Sampler snapshotting the registry's scalar instruments at
-// a fixed interval, and a Tracer collecting per-work-unit events from
-// the build pipeline. Close stops the sampler and writes the requested
-// artifacts — a Chrome trace-event file (load it at ui.perfetto.dev or
-// chrome://tracing) and/or a JSONL time series.
+// FlightRecorder records a CLI run for -trace-out: a Tracer collecting
+// the build's per-gate events, written on Close with the registry's
+// phase spans as one Chrome trace-event file (load it at
+// ui.perfetto.dev or chrome://tracing).
 //
 // A nil *FlightRecorder is valid and inert, matching the obs
-// discipline: StartFlightRecorder returns nil when no output was
+// discipline: StartFlightRecorder returns nil when no trace was
 // requested, and Tracer/Close on nil are no-ops.
 type FlightRecorder struct {
-	rec        *obs.Registry
-	sampler    *obs.Sampler
-	tracer     *obs.Tracer
-	traceOut   string
-	samplesOut string
+	rec      *obs.Registry
+	tracer   *obs.Tracer
+	traceOut string
 }
 
-// StartFlightRecorder starts sampling rec every interval (0 = the obs
-// default) and returns the running recorder, or nil when both output
-// paths are empty. The tracer is only created when a trace file was
-// requested — per-gate events are worthless without a sink and not
-// free to record.
-func StartFlightRecorder(rec *obs.Registry, traceOut, samplesOut string, interval time.Duration) *FlightRecorder {
-	if traceOut == "" && samplesOut == "" {
+// StartFlightRecorder returns a recorder writing to traceOut, or nil
+// when traceOut is empty.
+func StartFlightRecorder(rec *obs.Registry, traceOut string) *FlightRecorder {
+	if traceOut == "" {
 		return nil
 	}
-	if interval <= 0 {
-		interval = obs.DefaultSampleInterval
-	}
-	f := &FlightRecorder{
-		rec:        rec,
-		sampler:    obs.NewSampler(rec, interval, 0),
-		traceOut:   traceOut,
-		samplesOut: samplesOut,
-	}
-	if traceOut != "" {
-		f.tracer = obs.NewTracer(0)
-	}
-	f.sampler.Start()
-	return f
+	return &FlightRecorder{rec: rec, tracer: obs.NewTracer(0), traceOut: traceOut}
 }
 
 // Tracer returns the build-event tracer to thread into the pipeline
@@ -124,27 +92,18 @@ func (f *FlightRecorder) Tracer() *obs.Tracer {
 	return f.tracer
 }
 
-// Close stops sampling and writes the requested artifacts. Call it
-// after the instrumented work finishes so the trace carries the
-// complete phase spans.
+// Close writes the trace. Call it after the instrumented work finishes
+// so the trace carries the complete phase spans.
 func (f *FlightRecorder) Close() error {
 	if f == nil {
 		return nil
 	}
-	f.sampler.Stop()
-	if f.samplesOut != "" {
-		if err := writeTo(f.samplesOut, f.sampler.WriteJSONL); err != nil {
-			return fmt.Errorf("samples: %w", err)
-		}
-	}
-	if f.traceOut != "" {
-		snap := f.rec.Snapshot()
-		err := writeTo(f.traceOut, func(w io.Writer) error {
-			return obs.WriteChromeTrace(w, snap, f.sampler.Samples(), f.tracer.Events())
-		})
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
+	snap := f.rec.Snapshot()
+	err := writeTo(f.traceOut, func(w io.Writer) error {
+		return obs.WriteChromeTrace(w, snap, f.tracer.Events())
+	})
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
 	return nil
 }

@@ -146,7 +146,7 @@ func Netlist(m *bdd.Manager, n *logic.Netlist, levels []int, opts ...Option) (bd
 		cfg.state.Add(1)
 		cfg.state.SetLive(int64(m.Live()))
 		if cfg.tracer != nil {
-			cfg.tracer.Event(g.Kind.String()+"/"+strconv.Itoa(len(g.Fanin)), "compile", 0, t0, time.Since(t0),
+			cfg.tracer.Event(g.Kind.String()+"/"+strconv.Itoa(len(g.Fanin)), "compile", t0, time.Since(t0),
 				map[string]any{"created": m.Stats().NodesCreated - created0, "live": live})
 		}
 	}

@@ -45,8 +45,8 @@ func TestCompileReportsProgress(t *testing.T) {
 		t.Errorf("tracer recorded %d events, want one per gate (%d)", len(evs), st.PhaseTotal)
 	}
 	for _, ev := range evs {
-		if ev.Cat != "compile" || ev.Worker != 0 {
-			t.Errorf("event %+v, want cat=compile worker=0", ev)
+		if ev.Cat != "compile" {
+			t.Errorf("event %+v, want cat=compile", ev)
 		}
 	}
 }

@@ -256,33 +256,6 @@ func Thin(d Distribution, pL float64) (Distribution, error) {
 	return numericThinned{base: d, p: pL, covTol: 1e-12, maxM: 100000}, nil
 }
 
-// ThinSlope returns the derivative with respect to pL of the table
-// pmf = [Q'_0 … Q'_M] of Thin(d, pL), given that table, for the
-// families whose thinned law is closed-form in pL: with λ' = pL·λ,
-//
-//	negative binomial: ∂Q'_k/∂pL = λ·Q'_k·(k/λ' − (α+k)/(α+λ')),
-//	Poisson:           ∂Q'_k/∂pL = λ·Q'_k·(k/λ' − 1).
-//
-// ok is false for every other distribution.
-func ThinSlope(d Distribution, pL float64, pmf []float64) (slope []float64, ok bool) {
-	slope = make([]float64, len(pmf))
-	switch d := d.(type) {
-	case NegativeBinomial:
-		lp := pL * d.Lambda
-		for k, q := range pmf {
-			slope[k] = d.Lambda * q * (float64(k)/lp - (d.Alpha+float64(k))/(d.Alpha+lp))
-		}
-	case Poisson:
-		lp := pL * d.Lambda
-		for k, q := range pmf {
-			slope[k] = d.Lambda * q * (float64(k)/lp - 1)
-		}
-	default:
-		return nil, false
-	}
-	return slope, true
-}
-
 // maxTruncation bounds the truncation search; distributions needing a
 // larger M make the combinatorial method intractable anyway.
 const maxTruncation = 100000

@@ -153,7 +153,7 @@ func EstimateIS(sys *yield.System, opts ISOptions) (ISResult, error) {
 		cum[i] = acc
 	}
 	pl := acc // > 0: Validate rejects systems with P_L = 0
-	lethal, err := defects.Thin(opts.Defects, pl)
+	lethal, err := defects.Thin(opts.Defects, sys.PL())
 	if err != nil {
 		return ISResult{}, err
 	}

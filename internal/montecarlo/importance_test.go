@@ -340,3 +340,20 @@ func TestImportanceWorkersGaugeClamped(t *testing.T) {
 		t.Errorf("mc.is.workers = %d, mc.workers = %d, want 1 and 1", is, mc)
 	}
 }
+
+// TestImportanceLethalitiesRoundedAboveOne: lethalities 0.33, 0.56 and
+// 0.11 sum to 1.0000000000000002 in float64; both estimators take that
+// as P_L = 1 and run.
+func TestImportanceLethalitiesRoundedAboveOne(t *testing.T) {
+	sys := tmr(0.1)
+	for i, p := range []float64{0.33, 0.56, 0.11} {
+		sys.Components[i].P = p
+	}
+	dist := defects.Poisson{Lambda: 0.3}
+	if _, err := Estimate(sys, Options{Defects: dist, Samples: 2000, Seed: 1}); err != nil {
+		t.Errorf("Estimate: %v", err)
+	}
+	if _, err := EstimateIS(sys, ISOptions{Defects: dist, Samples: 2000, Seed: 1}); err != nil {
+		t.Errorf("EstimateIS: %v", err)
+	}
+}

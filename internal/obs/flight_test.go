@@ -1,172 +1,17 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"strings"
-	"sync"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 )
 
-func TestSamplerCollectsSeries(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("work.done")
-	g := r.Gauge("work.live")
-	f := r.FloatGauge("work.rate")
-
-	s := NewSampler(r, time.Millisecond, 64)
-	s.Start()
-	s.Start() // idempotent
-	for i := 0; i < 5; i++ {
-		c.Inc()
-		g.Set(int64(i))
-		f.Set(float64(i) / 2)
-		time.Sleep(2 * time.Millisecond)
-	}
-	s.Stop()
-	s.Stop() // idempotent
-
-	samples := s.Samples()
-	// Start takes one immediately and Stop appends a final one, so even
-	// instant runs have ≥ 2 points.
-	if len(samples) < 2 {
-		t.Fatalf("got %d samples, want at least 2", len(samples))
-	}
-	for i := 1; i < len(samples); i++ {
-		if samples[i].UnixNano < samples[i-1].UnixNano {
-			t.Fatalf("samples out of order at %d: %d after %d", i, samples[i].UnixNano, samples[i-1].UnixNano)
-		}
-		if samples[i].OffsetSeconds < samples[i-1].OffsetSeconds {
-			t.Fatalf("offsets out of order at %d", i)
-		}
-	}
-	last := samples[len(samples)-1]
-	if last.Counters["work.done"] != 5 {
-		t.Errorf("final sample counter = %d, want 5", last.Counters["work.done"])
-	}
-	if last.Gauges["work.live"] != 4 {
-		t.Errorf("final sample gauge = %d, want 4", last.Gauges["work.live"])
-	}
-	if last.FloatGauges["work.rate"] != 2 {
-		t.Errorf("final sample float gauge = %v, want 2", last.FloatGauges["work.rate"])
-	}
-}
-
-func TestSamplerRingOverwritesOldest(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("n")
-	s := NewSampler(r, time.Hour, 4) // manual sampling only
-	for i := 1; i <= 10; i++ {
-		c.Inc()
-		s.sampleNow()
-	}
-	samples := s.Samples()
-	if len(samples) != 4 {
-		t.Fatalf("retained %d samples, want ring capacity 4", len(samples))
-	}
-	// The oldest six were overwritten; the window holds counts 7..10.
-	for i, want := range []int64{7, 8, 9, 10} {
-		if got := samples[i].Counters["n"]; got != want {
-			t.Errorf("sample %d: counter = %d, want %d", i, got, want)
-		}
-	}
-	if d := s.Dropped(); d != 6 {
-		t.Errorf("Dropped() = %d, want 6", d)
-	}
-}
-
-func TestSamplerConcurrentWithUpdates(t *testing.T) {
-	// Run instrument updates, snapshots and sample reads concurrently
-	// with the sampling goroutine; the race detector is the assertion.
-	r := NewRegistry()
-	s := NewSampler(r, time.Millisecond, 128)
-	s.Start()
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := r.Counter("w.count")
-			g := r.Gauge("w.gauge")
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					c.Inc()
-					g.Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			_ = s.Samples()
-			_ = s.Dropped()
-			_ = r.Snapshot()
-		}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	s.Stop()
-	if len(s.Samples()) == 0 {
-		t.Fatal("no samples collected")
-	}
-}
-
-func TestSamplerNilSafety(t *testing.T) {
-	var s *Sampler
-	s.Start()
-	s.Stop()
-	if s.Samples() != nil || s.Dropped() != 0 {
-		t.Error("nil sampler not inert")
-	}
-	if got := NewSampler(nil, 0, 0); got != nil {
-		t.Errorf("NewSampler(nil registry) = %v, want nil", got)
-	}
-	var buf bytes.Buffer
-	if err := s.WriteJSONL(&buf); err != nil || buf.Len() != 0 {
-		t.Errorf("nil WriteJSONL wrote %q, err %v", buf.String(), err)
-	}
-}
-
-func TestSamplerWriteJSONL(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a").Add(3)
-	s := NewSampler(r, time.Hour, 8)
-	s.sampleNow()
-	r.Counter("a").Add(4)
-	s.sampleNow()
-	var buf bytes.Buffer
-	if err := s.WriteJSONL(&buf); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
-	}
-	var lines []Sample
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var sample Sample
-		if err := json.Unmarshal(sc.Bytes(), &sample); err != nil {
-			t.Fatalf("line %d is not a JSON Sample: %v", len(lines), err)
-		}
-		lines = append(lines, sample)
-	}
-	if len(lines) != 2 {
-		t.Fatalf("got %d JSONL lines, want 2", len(lines))
-	}
-	if lines[0].Counters["a"] != 3 || lines[1].Counters["a"] != 7 {
-		t.Errorf("counter series = %d, %d; want 3, 7", lines[0].Counters["a"], lines[1].Counters["a"])
-	}
-}
-
 func TestTracerRingAndNilSafety(t *testing.T) {
 	var nilT *Tracer
-	nilT.Event("x", "y", 0, time.Now(), time.Second, nil) // must not panic
+	nilT.Event("x", "y", time.Now(), time.Second, nil) // must not panic
 	if nilT.Events() != nil || nilT.Dropped() != 0 {
 		t.Error("nil tracer not inert")
 	}
@@ -174,15 +19,15 @@ func TestTracerRingAndNilSafety(t *testing.T) {
 	tr := NewTracer(3)
 	base := time.Now()
 	for i := 0; i < 5; i++ {
-		tr.Event("ev", "cat", i, base.Add(time.Duration(i)*time.Millisecond), time.Millisecond, nil)
+		tr.Event("ev"+strconv.Itoa(i), "cat", base.Add(time.Duration(i)*time.Millisecond), time.Millisecond, nil)
 	}
 	evs := tr.Events()
 	if len(evs) != 3 {
 		t.Fatalf("retained %d events, want 3", len(evs))
 	}
-	for i, want := range []int{2, 3, 4} {
-		if evs[i].Worker != want {
-			t.Errorf("event %d: worker = %d, want %d (oldest overwritten)", i, evs[i].Worker, want)
+	for i, want := range []string{"ev2", "ev3", "ev4"} {
+		if evs[i].Name != want {
+			t.Errorf("event %d = %q, want %q (oldest overwritten)", i, evs[i].Name, want)
 		}
 	}
 	if d := tr.Dropped(); d != 2 {
@@ -215,14 +60,11 @@ func TestWriteChromeTrace(t *testing.T) {
 
 	tr := NewTracer(16)
 	now := time.Now()
-	tr.Event("and/2", "compile", 0, now, time.Millisecond, map[string]any{"created": 3, "live": 7})
-	tr.Event("layer 1", "convert", 2, now.Add(time.Millisecond), time.Millisecond, nil)
-
-	s := NewSampler(r, time.Hour, 8)
-	s.sampleNow()
+	tr.Event("and/2", "compile", now, time.Millisecond, map[string]any{"created": 3, "live": 7})
+	tr.Event("or/3", "compile", now.Add(time.Millisecond), time.Millisecond, map[string]any{"created": 1, "live": 8})
 
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, r.Snapshot(), s.Samples(), tr.Events()); err != nil {
+	if err := WriteChromeTrace(&buf, r.Snapshot(), tr.Events()); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	var doc chromeDoc
@@ -233,48 +75,48 @@ func TestWriteChromeTrace(t *testing.T) {
 		t.Errorf("displayTimeUnit = %q, want ms", doc.DisplayTimeUnit)
 	}
 
-	var phaseNames, threadNames []string
-	counters := 0
-	workerTids := map[int]bool{}
+	var phaseNames []string
+	tracks := map[int]string{}
+	buildTids := map[int]bool{}
+	buildEvents := 0
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph != "M" && ev.Ts < 0 {
 			t.Errorf("event %q has negative ts %v", ev.Name, ev.Ts)
 		}
 		switch {
 		case ev.Ph == "M" && ev.Name == "thread_name":
-			threadNames = append(threadNames, ev.Args["name"].(string))
+			tracks[ev.Tid] = ev.Args["name"].(string)
 		case ev.Ph == "X" && ev.Cat == "phase":
 			phaseNames = append(phaseNames, ev.Name)
+		case ev.Ph == "M":
 		case ev.Ph == "X":
-			workerTids[ev.Tid] = true
+			buildTids[ev.Tid] = true
+			buildEvents++
+			if ev.Args["created"] == nil || ev.Args["live"] == nil {
+				t.Errorf("event %s args = %v, want created and live", ev.Name, ev.Args)
+			}
 			if ev.Name == "and/2" && (ev.Args["created"] != 3.0 || ev.Args["live"] != 7.0) {
 				t.Errorf("event and/2 args = %v, want created 3 and live 7", ev.Args)
 			}
-		case ev.Ph == "C":
-			counters++
+		default:
+			t.Errorf("unexpected %q event %q (only metadata and complete events)", ev.Ph, ev.Name)
 		}
 	}
 	for _, want := range []string{"evaluate", "compile", "convert"} {
-		found := false
-		for _, got := range phaseNames {
-			found = found || got == want
-		}
-		if !found {
+		if !slices.Contains(phaseNames, want) {
 			t.Errorf("phase span %q missing from trace (have %v)", want, phaseNames)
 		}
 	}
-	// Worker 0 is tid 1, worker 2 is tid 3; both need thread_name rows.
-	if !workerTids[1] || !workerTids[3] {
-		t.Errorf("worker events on tids %v, want tids 1 and 3", workerTids)
+	if buildEvents != 2 || len(buildTids) != 1 {
+		t.Fatalf("%d build events on tids %v, want 2 on one track", buildEvents, buildTids)
 	}
-	joined := strings.Join(threadNames, ",")
-	for _, want := range []string{"phases", "worker 0", "worker 2"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("thread_name %q missing (have %q)", want, joined)
+	for tid := range buildTids {
+		if tracks[tid] != "build" {
+			t.Errorf("build events on tid %d named %q, want \"build\"", tid, tracks[tid])
 		}
 	}
-	if counters == 0 {
-		t.Error("no counter (\"C\") events for the sampled gauge")
+	if len(tracks) != 2 || tracks[0] != "phases" {
+		t.Errorf("tracks %v, want phases on tid 0 and one build track", tracks)
 	}
 }
 

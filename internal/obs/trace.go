@@ -3,26 +3,23 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 )
 
-// TraceEvent is one timed slice of work attributed to a worker, such
-// as one compiled gate. Events land on per-worker tracks in the Chrome
-// trace export, with Args as the slice's arguments.
+// TraceEvent is one timed slice of the build, such as one compiled
+// gate. Events land on the build track of the Chrome trace export,
+// with Args as the slice's arguments.
 type TraceEvent struct {
-	Name   string         `json:"name"`
-	Cat    string         `json:"cat,omitempty"`
-	Worker int            `json:"worker"`
-	Start  time.Time      `json:"start"`
-	Dur    time.Duration  `json:"dur"`
-	Args   map[string]any `json:"args,omitempty"`
+	Name  string         `json:"name"`
+	Cat   string         `json:"cat,omitempty"`
+	Start time.Time      `json:"start"`
+	Dur   time.Duration  `json:"dur"`
+	Args  map[string]any `json:"args,omitempty"`
 }
 
 // Tracer collects TraceEvents into a bounded ring buffer, overwriting
-// the oldest when full (same flight-recorder discipline as Sampler).
+// the oldest when full, so a late dump keeps the most recent window.
 // Recording is one short mutex-guarded slot write, and every method is
 // a no-op on a nil receiver, so disabled tracing costs only a nil
 // check on the hot path.
@@ -49,11 +46,11 @@ func NewTracer(capacity int) *Tracer {
 
 // Event records one work slice; args may be nil. No-op on a nil
 // receiver.
-func (t *Tracer) Event(name, cat string, worker int, start time.Time, dur time.Duration, args map[string]any) {
+func (t *Tracer) Event(name, cat string, start time.Time, dur time.Duration, args map[string]any) {
 	if t == nil {
 		return
 	}
-	ev := TraceEvent{Name: name, Cat: cat, Worker: worker, Start: start, Dur: dur, Args: args}
+	ev := TraceEvent{Name: name, Cat: cat, Start: start, Dur: dur, Args: args}
 	t.mu.Lock()
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, ev)
@@ -93,8 +90,8 @@ func (t *Tracer) Dropped() int64 {
 }
 
 // chromeEvent is one entry of the Chrome trace-event JSON format
-// (the subset Perfetto and chrome://tracing load): "M" metadata, "X"
-// complete events, "C" counter series. ts/dur are microseconds.
+// (the subset Perfetto and chrome://tracing load): "M" metadata and
+// "X" complete events. ts/dur are microseconds.
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
@@ -107,17 +104,20 @@ type chromeEvent struct {
 }
 
 // tracePid is the synthetic process id all trace rows share; spans go
-// on tid 0 ("phases"), worker w on tid w+1.
-const tracePid = 1
+// on the "phases" track and build events on the "build" track.
+const (
+	tracePid = 1
+	phaseTid = 0
+	buildTid = 1
+)
 
 // WriteChromeTrace assembles a flight recording — the span tree of a
-// registry snapshot, the sampler's gauge time series, and the tracer's
-// per-worker events — into one Chrome trace-event JSON document
-// loadable in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
-// Phase spans appear as nested slices on the "phases" track, worker
-// events on one track per worker, and sampled gauges as counter plots.
-// Any of the three inputs may be empty.
-func WriteChromeTrace(w io.Writer, snap Snapshot, samples []Sample, events []TraceEvent) error {
+// registry snapshot and the tracer's build events — into one Chrome
+// trace-event JSON document loadable in Perfetto
+// (https://ui.perfetto.dev) or chrome://tracing. Phase spans appear as
+// nested slices on the "phases" track and build events on one "build"
+// track. Either input may be empty.
+func WriteChromeTrace(w io.Writer, snap Snapshot, events []TraceEvent) error {
 	// The timeline is relative to the earliest timestamp anywhere in
 	// the recording, so ts values stay small and positive.
 	base := int64(0)
@@ -136,9 +136,6 @@ func WriteChromeTrace(w io.Writer, snap Snapshot, samples []Sample, events []Tra
 	for _, s := range snap.Spans {
 		walk(s)
 	}
-	for _, s := range samples {
-		consider(s.UnixNano)
-	}
 	for _, e := range events {
 		consider(e.Start.UnixNano())
 	}
@@ -148,23 +145,13 @@ func WriteChromeTrace(w io.Writer, snap Snapshot, samples []Sample, events []Tra
 		Name: "process_name", Ph: "M", Pid: tracePid,
 		Args: map[string]any{"name": "socyield"},
 	}, {
-		Name: "thread_name", Ph: "M", Pid: tracePid, Tid: 0,
+		Name: "thread_name", Ph: "M", Pid: tracePid, Tid: phaseTid,
 		Args: map[string]any{"name": "phases"},
 	}}
-
-	workers := map[int]bool{}
-	for _, e := range events {
-		workers[e.Worker] = true
-	}
-	ids := make([]int, 0, len(workers))
-	for id := range workers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	if len(events) > 0 {
 		out = append(out, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: tracePid, Tid: id + 1,
-			Args: map[string]any{"name": "worker " + strconv.Itoa(id)},
+			Name: "thread_name", Ph: "M", Pid: tracePid, Tid: buildTid,
+			Args: map[string]any{"name": "build"},
 		})
 	}
 
@@ -173,7 +160,7 @@ func WriteChromeTrace(w io.Writer, snap Snapshot, samples []Sample, events []Tra
 		ev := chromeEvent{
 			Name: s.Name, Ph: "X", Cat: "phase",
 			Ts: us(s.StartUnixNano), Dur: s.Seconds * 1e6,
-			Pid: tracePid, Tid: 0,
+			Pid: tracePid, Tid: phaseTid,
 		}
 		if s.Running {
 			ev.Args = map[string]any{"running": true}
@@ -195,34 +182,8 @@ func WriteChromeTrace(w io.Writer, snap Snapshot, samples []Sample, events []Tra
 		out = append(out, chromeEvent{
 			Name: e.Name, Ph: "X", Cat: cat,
 			Ts: us(e.Start.UnixNano()), Dur: float64(e.Dur) / 1e3,
-			Pid: tracePid, Tid: e.Worker + 1, Args: e.Args,
+			Pid: tracePid, Tid: buildTid, Args: e.Args,
 		})
-	}
-
-	// Gauges and float gauges become counter plots; monotone counters
-	// are omitted (their derivative is rarely what you want to eyeball,
-	// and including them would double the event count).
-	for _, s := range samples {
-		names := make([]string, 0, len(s.Gauges)+len(s.FloatGauges))
-		for name := range s.Gauges {
-			names = append(names, name)
-		}
-		for name := range s.FloatGauges {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			var v any
-			if g, ok := s.Gauges[name]; ok {
-				v = g
-			} else {
-				v = s.FloatGauges[name]
-			}
-			out = append(out, chromeEvent{
-				Name: name, Ph: "C", Ts: us(s.UnixNano), Pid: tracePid,
-				Args: map[string]any{"value": v},
-			})
-		}
 	}
 
 	doc := struct {

@@ -361,6 +361,41 @@ fails = or(a, b, c)
 	}
 }
 
+// TestLethalitiesRoundedAboveOne: 0.33 + 0.56 + 0.11 is
+// 1.0000000000000002 in float64. The server takes that as P_L = 1, in
+// the system's own components and as a lethality override, so a
+// series system's yield is Q'_0 of the unthinned law.
+func TestLethalitiesRoundedAboveOne(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	src := `
+system series
+component a 0.33
+component b 0.56
+component c 0.11
+fails = or(a, b, c)
+`
+	own := fmt.Sprintf(`{"ftdsl": %q, "defects": {"lambda": 1, "alpha": 2}, "sensitivities": true}`, src)
+	override := fmt.Sprintf(`{"ftdsl": %q, "defects": {"lambda": 1, "alpha": 2}, "lethalities": [0.33, 0.56, 0.11], "sensitivities": true}`,
+		strings.Replace(strings.Replace(src, "0.56", "0.5", 1), "0.33", "0.39", 1))
+	for name, body := range map[string]string{"components": own, "override": override} {
+		var resp EvaluateResponse
+		if code := post(t, ts, "/v1/evaluate", body, &resp); code != http.StatusOK {
+			t.Fatalf("%s: status %d", name, code)
+		}
+		if want := math.Pow(1.5, -2); math.Abs(resp.Yield-want) > 1e-15 {
+			t.Errorf("%s: yield %v, want %v", name, resp.Yield, want)
+		}
+		if len(resp.Sensitivities) != 3 {
+			t.Fatalf("%s: got %d sensitivities, want 3", name, len(resp.Sensitivities))
+		}
+		for _, s := range resp.Sensitivities {
+			if want := -math.Pow(1.5, -3); math.Abs(s.DYieldDP-want) > 1e-14 {
+				t.Errorf("%s: ∂Y/∂P_%s = %v, want %v", name, s.Component, s.DYieldDP, want)
+			}
+		}
+	}
+}
+
 // TestLethalitiesOverride: overriding P_i (at the same total P_L, so
 // the truncation point is unchanged) changes the yield but not the
 // compiled model — same key, cache hit.

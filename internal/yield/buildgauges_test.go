@@ -33,7 +33,7 @@ func TestBuildLeavesNoPhaseGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 300*time.Millisecond {
-		t.Fatalf("the build took %v; it must run for at least 300ms to span several sampler ticks", d)
+		t.Fatalf("the build took %v; it must run for at least 300ms to span several 100ms publishing ticks", d)
 	}
 	if re.M() != 7 {
 		t.Errorf("M = %d, want 7", re.M())

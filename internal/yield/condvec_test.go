@@ -359,9 +359,8 @@ func centralDifference(t *testing.T, r *Reevaluator, ps []float64, dist defects.
 
 // TestSensitivitiesMatchCentralDifference compares the reverse-mode
 // sensitivities with central differences of Yield on the 50-tree
-// differential, across every defect family of the differential (NB
-// and Poisson take the closed-form law slope, Geometric and
-// Deterministic the scalar difference) and every MV ordering.
+// differential, across every defect family of the differential and
+// every MV ordering.
 func TestSensitivitiesMatchCentralDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7103))
 	trees := 50
@@ -397,60 +396,85 @@ func TestSensitivitiesMatchCentralDifference(t *testing.T) {
 	}
 }
 
-// TestLawSlopeClosedFormMatchesDifference checks the closed-form
-// ∂w/∂P_L of the negative binomial and Poisson laws against the scalar
-// difference other laws use, including the one-sided one at P_L = 1.
-func TestLawSlopeClosedFormMatchesDifference(t *testing.T) {
-	r, err := NewReevaluator(tmrSystem(0.2, 0.15, 0.15), Options{Defects: nb(2, 2), Epsilon: 1e-4})
+// TestLawSlopeMatchesDifference checks lawSlope's ∂w/∂P_L against a
+// difference of the tabulated law in P_L for every family of the
+// defects package, the numerically thinned ones included. At P_L = 1
+// the law is not tabulated above 1, so there the difference is the
+// second-order backward one.
+func TestLawSlopeMatchesDifference(t *testing.T) {
+	hier, err := defects.NewHierarchical(2, 1.5, 3)
 	if err != nil {
-		t.Fatalf("NewReevaluator: %v", err)
+		t.Fatal(err)
 	}
-	for _, dist := range []defects.Distribution{nb(2, 2), nb(0.5, 0.25), nb(4, 3.4), defects.Poisson{Lambda: 1.7}} {
+	multi, err := defects.NewMultilevel(1.5, 0.8, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs, err := defects.NewLogarithmic(0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compound, err := defects.NewCompoundPoisson(1.2, logs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	laws := []defects.Distribution{
+		nb(2, 2), nb(0.5, 0.25), nb(4, 3.4), defects.Poisson{Lambda: 1.7},
+		defects.Geometric{Lambda: 1.3}, defects.Deterministic{N: 5},
+		defects.Binomial{N: 9, P: 0.6}, compound, logs, multi, hier,
+	}
+	const m = 10
+	row := func(d defects.Distribution, pl float64) ([]float64, float64) {
+		t.Helper()
+		lethal, err := defects.Thin(d, pl)
+		if err != nil {
+			t.Fatalf("%v at P_L = %v: %v", d, pl, err)
+		}
+		qprime, tail, err := defects.PMFTable(lethal, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wRow(qprime, tail), lethal.PMF(m + 1)
+	}
+	for _, d := range laws {
 		for _, pl := range []float64{0.3, 0.7, 1} {
-			w, err := r.lawRow(dist, pl)
-			if err != nil {
-				t.Fatal(err)
+			w, next := row(d, pl)
+			slope := lawSlope(w, next, pl)
+			const h = 1e-4
+			diff := make([]float64, len(w))
+			if pl < 1 {
+				hi, _ := row(d, pl+h)
+				lo, _ := row(d, pl-h)
+				for k := range diff {
+					diff[k] = (hi[k] - lo[k]) / (2 * h)
+				}
+			} else {
+				lo1, _ := row(d, pl-h)
+				lo2, _ := row(d, pl-2*h)
+				for k := range diff {
+					diff[k] = (3*w[k] - 4*lo1[k] + lo2[k]) / (2 * h)
+				}
 			}
-			closed, err := r.lawSlope(dist, pl, 1e-4*pl, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The one-sided difference at P_L = 1 is first order, so
-			// it takes a smaller step.
-			h := 1e-4 * pl
-			tol := 1e-6
-			if pl == 1 {
-				h, tol = 1e-7, 1e-5
-			}
-			numeric, err := r.numericLawSlope(dist, pl, h, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(closed) != r.M()+2 || len(numeric) != len(closed) {
-				t.Fatalf("slope lengths %d, %d; want M+2 = %d", len(closed), len(numeric), r.M()+2)
+			if len(slope) != m+2 {
+				t.Fatalf("%v: slope has %d entries, want M+2 = %d", d, len(slope), m+2)
 			}
 			scale := 0.0
-			for _, d := range closed {
-				scale = math.Max(scale, math.Abs(d))
+			for _, v := range slope {
+				scale = math.Max(scale, math.Abs(v))
 			}
-			for k := range closed {
-				if math.Abs(closed[k]-numeric[k]) > tol*scale {
-					t.Errorf("%v at P_L=%v: ∂w_%d/∂P_L closed %.12g, difference %.12g", dist, pl, k, closed[k], numeric[k])
+			for k := range slope {
+				if math.Abs(slope[k]-diff[k]) > 1e-6*scale {
+					t.Errorf("%v at P_L = %v: ∂w_%d/∂P_L = %.12g, difference %.12g", d, pl, k, slope[k], diff[k])
 				}
 			}
 		}
 	}
-	if _, ok := defects.ThinSlope(defects.Geometric{Lambda: 1}, 0.5, []float64{0.5}); ok {
-		t.Error("ThinSlope claims a closed form for the geometric law")
-	}
-	if _, err := r.numericLawSlope(defects.Geometric{Lambda: 1}, 0.5, 0.6, make([]float64, r.M()+2)); err == nil {
-		t.Error("a step leaving (0,1] on both sides was accepted")
-	}
 }
 
-// TestSensitivitiesNumericLaws exercises the scalar-difference law
-// slope with the hierarchical and compound Poisson laws, against
-// central differences of Yield, and at P_L = 1 where it goes one-sided.
+// TestSensitivitiesNumericLaws checks the sensitivities of the
+// hierarchical and compound Poisson laws, whose thinned law has no
+// closed form, against central differences of Yield, and at P_L = 1
+// against a backward difference.
 func TestSensitivitiesNumericLaws(t *testing.T) {
 	hier, err := defects.NewHierarchical(2, 1.5, 3)
 	if err != nil {
@@ -480,7 +504,7 @@ func TestSensitivitiesNumericLaws(t *testing.T) {
 				t.Errorf("%v: ∂Y/∂P_%d = %.12g, central difference %.12g", dist, i, sens[i], want)
 			}
 		}
-		// At P_L = 1 the law slope is one-sided; compare with a
+		// At P_L = 1 the law is not tabulated above 1; compare with a
 		// backward difference along P_0.
 		full := []float64{0.5, 0.25, 0.25}
 		sens, err = r.Sensitivities(full, dist, 0)

@@ -169,7 +169,8 @@ func (r *Reevaluator) lethality(ps []float64) (pprime []float64, pl float64, err
 		}
 		pl += p
 	}
-	if !(pl > 0 && pl <= 1+1e-12) {
+	pl = roundPL(pl)
+	if !(pl > 0 && pl <= 1) {
 		return nil, 0, fmt.Errorf("yield: P_L = %v outside (0,1]", pl)
 	}
 	pprime = make([]float64, len(ps))
@@ -187,24 +188,24 @@ func (r *Reevaluator) condVector(pprime []float64, buf *mdd.PassBuffer) (g []flo
 }
 
 // lawRow tabulates the lethal defect law of dist at P_L = pl: the W
-// row [Q'_0..Q'_M, tail].
-func (r *Reevaluator) lawRow(dist defects.Distribution, pl float64) ([]float64, error) {
+// row [Q'_0..Q'_M, tail], and the thinned law it was read from.
+func (r *Reevaluator) lawRow(dist defects.Distribution, pl float64) ([]float64, defects.Distribution, error) {
 	lethal, err := defects.Thin(dist, pl)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	qprime, tail, err := defects.PMFTable(lethal, r.m)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return wRow(qprime, tail), nil
+	return wRow(qprime, tail), lethal, nil
 }
 
 // lawYield folds the law row of dist at P_L = pl into a lethality
 // vector's split pass (g, s). It is the shared core of Yield and Sweep,
 // which keeps their results bit-identical by construction.
 func (r *Reevaluator) lawYield(dist defects.Distribution, pl float64, g []float64, s float64) (yield, errorBound float64, err error) {
-	w, err := r.lawRow(dist, pl)
+	w, _, err := r.lawRow(dist, pl)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -229,30 +230,18 @@ func yieldOf(w, g []float64, s float64) float64 {
 //
 //	∂Y/∂P_i = −[(G_i − Σ_j P'_j·G_j)/P_L + Σ_k g_k·∂w_k/∂P_L].
 //
-// ∂w/∂P_L is closed-form for negative binomial and Poisson laws. For
-// other laws it is a central difference of the tabulated law in P_L
-// with step delta (default 1e-4·P_L when 0), one-sided where P_L ±
-// delta leaves (0,1]; delta is not used otherwise. No ROMDD pass
-// depends on delta.
+// ∂w/∂P_L is exact for every law (lawSlope). delta is not read; it
+// remains in the signature for existing callers.
 func (r *Reevaluator) Sensitivities(ps []float64, dist defects.Distribution, delta float64) ([]float64, error) {
 	pprime, pl, err := r.lethality(ps)
 	if err != nil {
 		return nil, err
 	}
-	if delta == 0 {
-		delta = 1e-4 * pl
-	}
-	if !(delta > 0) {
-		return nil, fmt.Errorf("yield: non-positive step %v", delta)
-	}
-	w, err := r.lawRow(dist, pl)
+	w, lethal, err := r.lawRow(dist, pl)
 	if err != nil {
 		return nil, err
 	}
-	dw, err := r.lawSlope(dist, pl, delta, w)
-	if err != nil {
-		return nil, err
-	}
+	dw := lawSlope(w, lethal.PMF(r.m+1), pl)
 	_, grad, err := r.frozen.Grad(probTable(r.groupSeq, pprime, w))
 	if err != nil {
 		return nil, err
@@ -280,50 +269,26 @@ func (r *Reevaluator) Sensitivities(ps []float64, dist defects.Distribution, del
 	return out, nil
 }
 
-// lawSlope returns ∂w/∂P_L for the W row w of dist at P_L = pl: in
-// closed form where the defects package has one, else by the scalar
-// difference of numericLawSlope with step h.
-func (r *Reevaluator) lawSlope(dist defects.Distribution, pl, h float64, w []float64) ([]float64, error) {
-	dq, ok := defects.ThinSlope(dist, pl, w[:r.m+1])
-	if !ok {
-		return r.numericLawSlope(dist, pl, h, w)
-	}
-	// The tail is 1 − Σ_k Q'_k.
-	dtail := 0.0
-	for _, d := range dq {
-		dtail -= d
-	}
-	return append(dq, dtail), nil
-}
-
-// numericLawSlope is the central difference (w(P_L+h) − w(P_L−h))/2h
-// of the tabulated law, one-sided on the side where P_L ± h leaves
-// (0,1]. It costs two law tabulations and no ROMDD pass.
-func (r *Reevaluator) numericLawSlope(dist defects.Distribution, pl, h float64, w []float64) ([]float64, error) {
-	lo, hi := pl-h, pl+h
-	wLo, wHi := w, w
-	var err error
-	switch {
-	case hi > 1 && lo <= 0:
-		return nil, fmt.Errorf("yield: step %v leaves (0,1] on both sides of P_L = %v", h, pl)
-	case hi > 1:
-		hi = pl
-	case lo <= 0:
-		lo = pl
-	}
-	if hi != pl {
-		if wHi, err = r.lawRow(dist, hi); err != nil {
-			return nil, err
+// lawSlope returns ∂w/∂P_L for the W row w = [Q'_0..Q'_M, tail] at
+// P_L = pl, given next = Q'_{M+1}. Differentiating eq. (1),
+// Q'_k = Σ_m Q_m·C(m,k)·P_L^k·(1−P_L)^(m−k), in P_L gives for any
+// defect law
+//
+//	∂Q'_k/∂P_L = (k·Q'_k − (k+1)·Q'_{k+1})/P_L,
+//	∂tail/∂P_L = (M+1)·Q'_{M+1}/P_L,
+//
+// the second by telescoping the first, since tail = 1 − Σ_{k≤M} Q'_k.
+// At P_L = 1 it is the slope from below.
+func lawSlope(w []float64, next, pl float64) []float64 {
+	m := len(w) - 2
+	dw := make([]float64, len(w))
+	for k := 0; k <= m; k++ {
+		up := next
+		if k < m {
+			up = w[k+1]
 		}
+		dw[k] = (float64(k)*w[k] - float64(k+1)*up) / pl
 	}
-	if lo != pl {
-		if wLo, err = r.lawRow(dist, lo); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]float64, len(w))
-	for k := range out {
-		out[k] = (wHi[k] - wLo[k]) / (hi - lo)
-	}
-	return out, nil
+	dw[m+1] = float64(m+1) * next / pl
+	return dw
 }

@@ -158,7 +158,4 @@ func TestSensitivities(t *testing.T) {
 	if _, err := r.Sensitivities([]float64{0.1}, dist, 0); err == nil {
 		t.Error("short ps accepted")
 	}
-	if _, err := r.Sensitivities(ps, dist, -1); err == nil {
-		t.Error("negative step accepted")
-	}
 }

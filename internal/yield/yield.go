@@ -95,28 +95,38 @@ func (s *System) Validate() error {
 	if got := s.FaultTree.NumInputs(); got != len(s.Components) {
 		return fmt.Errorf("yield: system %q fault tree has %d inputs for %d components", s.Name, got, len(s.Components))
 	}
-	pl := 0.0
 	for i, c := range s.Components {
 		if !(c.P >= 0) || math.IsInf(c.P, 0) {
 			return fmt.Errorf("yield: component %d (%s) has P = %v", i, c.Name, c.P)
 		}
-		pl += c.P
 	}
+	pl := s.PL()
 	if pl <= 0 {
 		return fmt.Errorf("yield: system %q has P_L = %v, need > 0", s.Name, pl)
 	}
-	if pl > 1+1e-12 {
+	if pl > 1 {
 		return fmt.Errorf("yield: system %q has P_L = %v > 1", s.Name, pl)
 	}
 	return nil
 }
 
 // PL returns P_L = Σ_i P_i, the probability that a given defect is
-// lethal.
+// lethal, with roundPL's reading of a sum just above 1.
 func (s *System) PL() float64 {
 	pl := 0.0
 	for _, c := range s.Components {
 		pl += c.P
+	}
+	return roundPL(pl)
+}
+
+// roundPL takes a lethality sum that rounding put at most 1e-12 above
+// 1 as exactly 1: 0.33 + 0.56 + 0.11 is 1.0000000000000002 in float64,
+// which defects.Thin would reject. It is the one place the P_L
+// tolerance is decided; a sum further above 1 is returned as is.
+func roundPL(pl float64) float64 {
+	if pl > 1 && pl <= 1+1e-12 {
+		return 1
 	}
 	return pl
 }
@@ -148,8 +158,8 @@ type Options struct {
 	// BuildState, when non-nil, receives live phase transitions and
 	// work-unit progress (gates compiled, conversion entry nodes) as
 	// the build runs; any goroutine may Snapshot it concurrently. This
-	// is what the yieldd /v1/builds endpoint and the flight-recorder
-	// sampler read. Excluded from ModelKey: it does not affect results.
+	// is what the yieldd /v1/builds endpoint reads. Excluded from
+	// ModelKey: it does not affect results.
 	BuildState *obs.BuildState
 	// Tracer, when non-nil, records one timed event per compiled gate
 	// for the Chrome trace export. Excluded from ModelKey like

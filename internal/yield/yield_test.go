@@ -277,6 +277,70 @@ func TestSystemValidation(t *testing.T) {
 	}
 }
 
+// TestPLRoundedAboveOne: lethalities 0.33, 0.56 and 0.11 sum to
+// 1.0000000000000002 in float64. Every route takes that as P_L = 1,
+// and they agree with each other and with the exact oracle.
+func TestPLRoundedAboveOne(t *testing.T) {
+	ps := []float64{0.33, 0.56, 0.11}
+	if sum := ps[0] + ps[1] + ps[2]; sum <= 1 {
+		t.Fatalf("lethalities sum to %v, want just above 1", sum)
+	}
+	sys := tmrSystem(ps[0], ps[1], ps[2])
+	dist := nb(2, 2)
+	opts := Options{Defects: dist, Epsilon: 1e-3}
+	if err := sys.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if pl := sys.PL(); pl != 1 {
+		t.Errorf("PL() = %v, want 1", pl)
+	}
+	res, err := Evaluate(sys, opts)
+	if err != nil {
+		t.Fatalf("Evaluate: %v", err)
+	}
+	exact, err := ExactYield(sys, opts)
+	if err != nil {
+		t.Fatalf("ExactYield: %v", err)
+	}
+	routes := map[string]func() (*Result, error){
+		"BruteForce":        func() (*Result, error) { return BruteForce(sys, opts) },
+		"EvaluateDirectMDD": func() (*Result, error) { return EvaluateDirectMDD(sys, opts) },
+	}
+	for name, run := range routes {
+		got, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if math.Abs(got.Yield-res.Yield) > 1e-12 {
+			t.Errorf("%s yield %v, Evaluate %v", name, got.Yield, res.Yield)
+		}
+	}
+	if math.Abs(exact.Yield-res.Yield) > 1e-12 {
+		t.Errorf("Evaluate yield %v, exact oracle %v", res.Yield, exact.Yield)
+	}
+	if _, _, err := ModelKey(sys, opts); err != nil {
+		t.Fatalf("ModelKey: %v", err)
+	}
+	r, err := NewReevaluator(sys, opts)
+	if err != nil {
+		t.Fatalf("NewReevaluator: %v", err)
+	}
+	y, _, err := r.Yield(ps, dist)
+	if err != nil {
+		t.Fatalf("Reevaluator.Yield: %v", err)
+	}
+	if y != r.Result.Yield {
+		t.Errorf("Reevaluator.Yield %v, build result %v", y, r.Result.Yield)
+	}
+	if _, err := r.Sensitivities(ps, dist, 0); err != nil {
+		t.Fatalf("Sensitivities: %v", err)
+	}
+	sw := r.Sweep([]SweepPoint{{PS: ps, Dist: dist}}, SweepOptions{})
+	if sw[0].Err != nil || sw[0].Yield != y {
+		t.Errorf("Sweep = %+v, want yield %v", sw[0], y)
+	}
+}
+
 func TestNodeLimitPropagates(t *testing.T) {
 	sys := tmrSystem(0.2, 0.2, 0.1)
 	res, err := Evaluate(sys, Options{Defects: nb(4, 0.25), Epsilon: 1e-6, NodeLimit: 16})

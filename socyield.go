@@ -40,7 +40,6 @@ package socyield
 
 import (
 	"io"
-	"time"
 
 	"socyield/internal/benchmarks"
 	"socyield/internal/defects"
@@ -100,28 +99,12 @@ type EngineStats = yield.EngineStats
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// Sampler is the flight recorder's time-series collector: a background
-// goroutine snapshotting a Metrics registry's scalar instruments at a
-// fixed interval into a bounded ring (oldest samples overwritten). A
-// nil *Sampler is valid everywhere and records nothing.
-type Sampler = obs.Sampler
-
-// Sample is one point of a Sampler's time series.
-type Sample = obs.Sample
-
-// NewSampler creates a sampler over reg; interval ≤ 0 selects the
-// 100ms default, capacity ≤ 0 the default ring size. Call Start to
-// begin and Stop before exporting.
-func NewSampler(reg *Metrics, interval time.Duration, capacity int) *Sampler {
-	return obs.NewSampler(reg, interval, capacity)
-}
-
 // Tracer collects per-gate compile events into a bounded ring for the
 // Chrome trace export. Set Options.Tracer to record a build; a nil *Tracer is valid
 // everywhere and records nothing.
 type Tracer = obs.Tracer
 
-// TraceEvent is one timed work slice attributed to a build worker.
+// TraceEvent is one timed slice of a build, such as one compiled gate.
 type TraceEvent = obs.TraceEvent
 
 // NewTracer returns a tracer with the given event-ring capacity (≤ 0
@@ -129,11 +112,11 @@ type TraceEvent = obs.TraceEvent
 func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
 
 // WriteChromeTrace assembles a flight recording — the phase-span tree
-// of a metrics snapshot, a sampler's time series and a tracer's
-// per-worker events — into one Chrome trace-event JSON document
-// loadable at https://ui.perfetto.dev or chrome://tracing.
-func WriteChromeTrace(w io.Writer, snap MetricsSnapshot, samples []Sample, events []TraceEvent) error {
-	return obs.WriteChromeTrace(w, snap, samples, events)
+// of a metrics snapshot and a tracer's build events on one build
+// track — into one Chrome trace-event JSON document loadable at
+// https://ui.perfetto.dev or chrome://tracing.
+func WriteChromeTrace(w io.Writer, snap MetricsSnapshot, events []TraceEvent) error {
+	return obs.WriteChromeTrace(w, snap, events)
 }
 
 // BuildState tracks the live progress of one model build (phase,

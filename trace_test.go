@@ -4,15 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
 
 	"socyield"
 )
 
 // TestFlightRecorderESENTrace runs the flight recorder over a real
 // ESEN8x2 build and checks the Chrome trace export carries the
-// pipeline's phase spans, the per-gate build track and sampled counter
-// series — the Perfetto-loadable artifact -trace-out produces.
+// pipeline's phase spans and one build track of per-gate compile
+// events with their created and live node counts — the
+// Perfetto-loadable artifact -trace-out produces.
 func TestFlightRecorderESENTrace(t *testing.T) {
 	sys, err := socyield.ESEN(8, 2)
 	if err != nil {
@@ -25,8 +25,6 @@ func TestFlightRecorderESENTrace(t *testing.T) {
 
 	rec := socyield.NewMetrics()
 	tracer := socyield.NewTracer(0)
-	sampler := socyield.NewSampler(rec, time.Millisecond, 0)
-	sampler.Start()
 	// ε = 2e-2 keeps the truncation point small enough for a test while
 	// still exercising the full multi-phase build.
 	_, err = socyield.Evaluate(sys, socyield.Options{
@@ -37,10 +35,9 @@ func TestFlightRecorderESENTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
-	sampler.Stop()
 
 	var buf bytes.Buffer
-	if err := socyield.WriteChromeTrace(&buf, rec.Snapshot(), sampler.Samples(), tracer.Events()); err != nil {
+	if err := socyield.WriteChromeTrace(&buf, rec.Snapshot(), tracer.Events()); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 
@@ -64,22 +61,33 @@ func TestFlightRecorderESENTrace(t *testing.T) {
 	}
 
 	phases := map[string]bool{}
-	workerTracks := map[string]bool{}
-	workerEvents := 0
-	counterPoints := 0
+	tracks := map[int]string{}
+	buildTids := map[int]bool{}
+	compileEvents := 0
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph != "M" && ev.Ts < 0 {
 			t.Fatalf("event %q has negative ts %v (base-time bug)", ev.Name, ev.Ts)
 		}
 		switch {
-		case ev.Ph == "M" && ev.Name == "thread_name" && ev.Tid > 0:
-			workerTracks[ev.Args["name"].(string)] = true
+		case ev.Ph == "M" && ev.Name == "thread_name":
+			tracks[ev.Tid] = ev.Args["name"].(string)
+		case ev.Ph == "M":
 		case ev.Ph == "X" && ev.Cat == "phase":
 			phases[ev.Name] = true
-		case ev.Ph == "X" && ev.Tid > 0:
-			workerEvents++
-		case ev.Ph == "C":
-			counterPoints++
+		case ev.Ph == "X":
+			buildTids[ev.Tid] = true
+			if ev.Cat != "compile" {
+				continue
+			}
+			compileEvents++
+			if _, ok := ev.Args["created"]; !ok {
+				t.Errorf("compile event %q has no created argument: %v", ev.Name, ev.Args)
+			}
+			if _, ok := ev.Args["live"]; !ok {
+				t.Errorf("compile event %q has no live argument: %v", ev.Name, ev.Args)
+			}
+		default:
+			t.Errorf("unexpected %q event %q in the trace", ev.Ph, ev.Name)
 		}
 	}
 
@@ -91,18 +99,20 @@ func TestFlightRecorderESENTrace(t *testing.T) {
 			t.Errorf("phase span %q missing (have %v)", want, phases)
 		}
 	}
-	// The build compiles on one goroutine: its per-gate events form a
-	// single track, announced by a thread_name metadata row.
-	if len(workerTracks) != 1 {
-		t.Errorf("trace has worker tracks %v, want exactly 1 (serial build)", workerTracks)
+	// The build is serial: its per-gate events form a single track,
+	// announced by a thread_name metadata row.
+	if len(buildTids) != 1 {
+		t.Fatalf("build events on tids %v, want exactly one track", buildTids)
 	}
-	if workerEvents == 0 {
-		t.Error("no per-gate build events in the trace")
+	for tid := range buildTids {
+		if tracks[tid] != "build" {
+			t.Errorf("build events on tid %d named %q, want \"build\"", tid, tracks[tid])
+		}
 	}
-	if counterPoints == 0 {
-		t.Error("no sampled counter points in the trace")
+	if len(tracks) != 2 {
+		t.Errorf("trace has tracks %v, want phases and one build track", tracks)
 	}
-	if sampler.Dropped() != 0 && len(sampler.Samples()) == 0 {
-		t.Error("sampler dropped everything")
+	if compileEvents == 0 {
+		t.Error("no per-gate compile events in the trace")
 	}
 }
