@@ -52,13 +52,13 @@ func main() {
 	)
 	flag.Parse()
 	var rec *obs.Registry
-	if *metricsJS != "" || *traceOut != "" {
+	if *metricsJS != "" {
 		rec = obs.NewRegistry()
 	}
 	if *pprofAddr != "" {
 		cliutil.ServeDebug("experiments", *pprofAddr)
 	}
-	flight := cliutil.StartFlightRecorder(rec, *traceOut)
+	flight := cliutil.StartFlightRecorder(*traceOut)
 	cfg := experiments.Config{Alpha: *alpha, Epsilon: *epsilon, NodeLimit: *nodeLimit, Workers: *workers, Recorder: rec, Tracer: flight.Tracer()}
 	cases := experiments.QuickCases()
 	if *full || *all {

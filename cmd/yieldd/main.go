@@ -34,8 +34,11 @@
 // GET /v1/builds lists the model builds in flight (phase, progress,
 // ETA).
 // SIGINT/SIGTERM drain in-flight requests before exiting; with
-// -trace-out the whole lifetime is then written as a Chrome
-// trace-event file (load it at ui.perfetto.dev).
+// -trace-out the builds' trace events are then written as a Chrome
+// trace-event file (load it at ui.perfetto.dev): each build's phases on
+// one track and its per-gate compile events on another, concurrent
+// builds sharing both. The trace keeps the latest 65,536 events; its
+// process_name row counts the earlier ones it dropped.
 package main
 
 import (
@@ -66,7 +69,7 @@ func main() {
 		logJSON   = flag.Bool("log-json", false, "log one JSON object per request instead of text")
 		quiet     = flag.Bool("quiet", false, "disable request logging")
 		slowReq   = flag.Duration("slow-request", 0, "log requests slower than this as warnings (0 = 10s default, <0 = off)")
-		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event file of the server's lifetime on shutdown (Perfetto-loadable)")
+		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event file of the server's latest builds on shutdown (Perfetto-loadable)")
 		storeDir  = flag.String("store-dir", "", "persist compiled models to this directory (second cache tier, shared across restarts and replicas)")
 		storeMax  = flag.Int64("store-max-bytes", 0, "on-disk LRU size cap for -store-dir (0 = unlimited)")
 	)
@@ -88,9 +91,9 @@ func main() {
 
 	metrics := obs.NewRegistry()
 
-	// The trace is written after the drain, so it covers every build
-	// the server ran.
-	flight := cliutil.StartFlightRecorder(metrics, *traceOut)
+	// The trace is written after the drain, so every build the server
+	// finished has recorded its phases.
+	flight := cliutil.StartFlightRecorder(*traceOut)
 
 	var modelStore *store.Store
 	if *storeDir != "" {

@@ -39,12 +39,12 @@
 // model as <model-key>.scm — the layout yieldd -store-dir serves —
 // so a fleet's models can be pre-compiled offline.
 //
-// Instrumentation: -metrics-json FILE dumps every counter, gauge,
-// histogram and phase span collected during the run as JSON ("-" for
-// stdout); -trace-out FILE records the run as a Chrome trace-event
-// file (open it at ui.perfetto.dev) with the phase spans and one build
-// track of per-gate compile events; -progress prints periodic
-// completion lines for sweeps and Monte-Carlo runs; -pprof ADDR serves
+// Instrumentation: -metrics-json FILE dumps every counter, gauge and
+// histogram collected during the run as JSON ("-" for stdout);
+// -trace-out FILE records the run as a Chrome trace-event file (open
+// it at ui.perfetto.dev) with each build's phases on one track and its
+// per-gate compile events on a build track; -progress prints periodic
+// completion lines for -mc and -mc-is; -pprof ADDR serves
 // net/http/pprof on ADDR for the duration of the run.
 package main
 
@@ -152,23 +152,23 @@ func run() error {
 		verbose   = flag.Bool("v", false, "print per-phase statistics")
 		metricsJS = flag.String("metrics-json", "", "write collected metrics as JSON to this file (\"-\" = stdout)")
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event file of the run to this file (Perfetto-loadable)")
-		progress  = flag.Bool("progress", false, "print periodic progress lines for sweeps and Monte-Carlo runs")
+		progress  = flag.Bool("progress", false, "print periodic progress lines for -mc and -mc-is runs")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address")
 		saveModel = flag.String("save-model", "", "write the compiled model to this file after the build (an existing directory stores it under <model-key>.scm, yieldd -store-dir compatible)")
 		loadModel = flag.String("load-model", "", "load a compiled model saved by -save-model instead of building (the flags must describe the model it was compiled from)")
 	)
 	flag.Parse()
 
-	// One registry instruments the whole run. It is created whenever any
-	// export path wants it; a nil registry records nothing.
+	// One registry instruments the whole run. It is created only for
+	// -metrics-json; a nil registry records nothing.
 	var rec *obs.Registry
-	if *metricsJS != "" || *traceOut != "" {
+	if *metricsJS != "" {
 		rec = obs.NewRegistry()
 	}
 	if *pprofAddr != "" {
 		cliutil.ServeDebug("yieldsoc", *pprofAddr)
 	}
-	flight := cliutil.StartFlightRecorder(rec, *traceOut)
+	flight := cliutil.StartFlightRecorder(*traceOut)
 
 	sys, err := cliutil.LoadSystem(*benchName, *file)
 	if err != nil {
@@ -307,15 +307,8 @@ func run() error {
 				return err
 			}
 		}
-		var meter *obs.Progress
-		if *progress {
-			meter = obs.NewProgress(os.Stderr, "sweep", len(lambdas), 0)
-		}
 		start := time.Now()
-		results := re.Sweep(yield.LambdaGrid(ps, dists), yield.SweepOptions{
-			Workers: *workers, Recorder: rec, Progress: meter,
-		})
-		meter.Close()
+		results := re.Sweep(yield.LambdaGrid(ps, dists), yield.SweepOptions{Workers: *workers, Recorder: rec})
 		fmt.Printf("sweep over %d λ values (ROMDD built once, %d nodes, %v for all points):\n",
 			len(lambdas), re.Result.ROMDDSize, time.Since(start).Round(time.Microsecond))
 		for i, sr := range results {
@@ -390,8 +383,8 @@ func run() error {
 			fmt.Printf("  R(%g) = %.6f\n", pt.T, pt.Reliability)
 		}
 	}
-	// The flight recorder closes after the instrumented work so the
-	// trace carries the complete phase spans.
+	// The flight recorder closes after the instrumented work, once
+	// every phase event is recorded.
 	if err := flight.Close(); err != nil {
 		return err
 	}

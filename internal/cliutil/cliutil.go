@@ -60,31 +60,30 @@ func WriteMetrics(rec *obs.Registry, path string) error {
 }
 
 // FlightRecorder records a CLI run for -trace-out: a Tracer collecting
-// the build's per-gate events, written on Close with the registry's
-// phase spans as one Chrome trace-event file (load it at
-// ui.perfetto.dev or chrome://tracing).
+// each build's phase events and per-gate events, written on Close as
+// one Chrome trace-event file (load it at ui.perfetto.dev or
+// chrome://tracing).
 //
 // A nil *FlightRecorder is valid and inert, matching the obs
 // discipline: StartFlightRecorder returns nil when no trace was
 // requested, and Tracer/Close on nil are no-ops.
 type FlightRecorder struct {
-	rec      *obs.Registry
 	tracer   *obs.Tracer
 	traceOut string
 }
 
 // StartFlightRecorder returns a recorder writing to traceOut, or nil
 // when traceOut is empty.
-func StartFlightRecorder(rec *obs.Registry, traceOut string) *FlightRecorder {
+func StartFlightRecorder(traceOut string) *FlightRecorder {
 	if traceOut == "" {
 		return nil
 	}
-	return &FlightRecorder{rec: rec, tracer: obs.NewTracer(0), traceOut: traceOut}
+	return &FlightRecorder{tracer: obs.NewTracer(0), traceOut: traceOut}
 }
 
-// Tracer returns the build-event tracer to thread into the pipeline
-// (nil when tracing was not requested — the pipeline treats that as
-// "don't record").
+// Tracer returns the tracer to thread into the pipeline (nil when
+// tracing was not requested — the pipeline treats that as "don't
+// record").
 func (f *FlightRecorder) Tracer() *obs.Tracer {
 	if f == nil {
 		return nil
@@ -92,15 +91,14 @@ func (f *FlightRecorder) Tracer() *obs.Tracer {
 	return f.tracer
 }
 
-// Close writes the trace. Call it after the instrumented work finishes
-// so the trace carries the complete phase spans.
+// Close writes the trace. Call it after the instrumented work finishes:
+// a build's phase events are recorded as its phases end.
 func (f *FlightRecorder) Close() error {
 	if f == nil {
 		return nil
 	}
-	snap := f.rec.Snapshot()
 	err := writeTo(f.traceOut, func(w io.Writer) error {
-		return obs.WriteChromeTrace(w, snap, f.tracer.Events())
+		return obs.WriteChromeTrace(w, f.tracer)
 	})
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)

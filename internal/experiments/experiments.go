@@ -91,7 +91,7 @@ type Config struct {
 	// reflect the last case finished. The registry is concurrency-safe,
 	// so it composes with Workers > 1.
 	Recorder *obs.Registry
-	// Tracer, when non-nil, records per-work-unit build events from
+	// Tracer, when non-nil, records the phase and per-gate events of
 	// every evaluation into the flight recorder's trace ring. Like the
 	// Recorder it is concurrency-safe and shared across cases.
 	Tracer *obs.Tracer

@@ -15,6 +15,10 @@ func TestTracerRingAndNilSafety(t *testing.T) {
 	if nilT.Events() != nil || nilT.Dropped() != 0 {
 		t.Error("nil tracer not inert")
 	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, nilT); err != nil || !json.Valid(buf.Bytes()) {
+		t.Errorf("nil tracer trace: err %v, valid JSON %v", err, json.Valid(buf.Bytes()))
+	}
 
 	tr := NewTracer(3)
 	base := time.Now()
@@ -51,20 +55,18 @@ type chromeDoc struct {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	r := NewRegistry()
-	root := r.Span("evaluate")
-	root.Child("compile").End()
-	root.Child("convert").End()
-	root.End()
-	r.Gauge("bdd.live").Set(42)
-
-	tr := NewTracer(16)
+	// A ring of four holds the last four of five events: the first
+	// gate is dropped, and a phase event is recorded after its gates.
+	tr := NewTracer(4)
 	now := time.Now()
-	tr.Event("and/2", "compile", now, time.Millisecond, map[string]any{"created": 3, "live": 7})
-	tr.Event("or/3", "compile", now.Add(time.Millisecond), time.Millisecond, map[string]any{"created": 1, "live": 8})
+	tr.Event("lost/1", "compile", now, time.Millisecond, map[string]any{"created": 1, "live": 1})
+	tr.Event("and/2", "compile", now.Add(time.Millisecond), time.Millisecond, map[string]any{"created": 3, "live": 7})
+	tr.Event("or/3", "compile", now.Add(2*time.Millisecond), time.Millisecond, map[string]any{"created": 1, "live": 8})
+	tr.Event("compile", "phase", now, 3*time.Millisecond, nil)
+	tr.Event("evaluate", "phase", now, 4*time.Millisecond, nil)
 
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, r.Snapshot(), tr.Events()); err != nil {
+	if err := WriteChromeTrace(&buf, tr); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	var doc chromeDoc
@@ -76,6 +78,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 
 	var phaseNames []string
+	var dropped any
 	tracks := map[int]string{}
 	buildTids := map[int]bool{}
 	buildEvents := 0
@@ -86,9 +89,16 @@ func TestWriteChromeTrace(t *testing.T) {
 		switch {
 		case ev.Ph == "M" && ev.Name == "thread_name":
 			tracks[ev.Tid] = ev.Args["name"].(string)
+		case ev.Ph == "M" && ev.Name == "process_name":
+			dropped = ev.Args["dropped_events"]
 		case ev.Ph == "X" && ev.Cat == "phase":
+			if ev.Tid != 0 {
+				t.Errorf("phase %q on tid %d, want the phases track", ev.Name, ev.Tid)
+			}
+			if ev.Name == "compile" && (ev.Ts != 0 || ev.Dur != 3000) {
+				t.Errorf("phase compile at ts %v dur %v µs, want 0 and 3000", ev.Ts, ev.Dur)
+			}
 			phaseNames = append(phaseNames, ev.Name)
-		case ev.Ph == "M":
 		case ev.Ph == "X":
 			buildTids[ev.Tid] = true
 			buildEvents++
@@ -102,10 +112,11 @@ func TestWriteChromeTrace(t *testing.T) {
 			t.Errorf("unexpected %q event %q (only metadata and complete events)", ev.Ph, ev.Name)
 		}
 	}
-	for _, want := range []string{"evaluate", "compile", "convert"} {
-		if !slices.Contains(phaseNames, want) {
-			t.Errorf("phase span %q missing from trace (have %v)", want, phaseNames)
-		}
+	if dropped != 1.0 {
+		t.Errorf("process_name dropped_events = %v, want 1", dropped)
+	}
+	if !slices.Equal(phaseNames, []string{"compile", "evaluate"}) {
+		t.Errorf("phase slices %v, want compile and evaluate", phaseNames)
 	}
 	if buildEvents != 2 || len(buildTids) != 1 {
 		t.Fatalf("%d build events on tids %v, want 2 on one track", buildEvents, buildTids)
@@ -174,20 +185,6 @@ func TestPrometheusHandlerNilRegistry(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Errorf("nil registry wrote %q", buf.String())
-	}
-}
-
-func TestSpansDroppedCounter(t *testing.T) {
-	r := NewRegistry()
-	for i := 0; i < maxRootSpans+25; i++ {
-		r.Span("s").End()
-	}
-	snap := r.Snapshot()
-	if n := len(snap.Spans); n != maxRootSpans {
-		t.Errorf("retained %d root spans, want %d", n, maxRootSpans)
-	}
-	if got := snap.Counters["obs.spans_dropped"]; got != 25 {
-		t.Errorf("obs.spans_dropped = %d, want 25", got)
 	}
 }
 

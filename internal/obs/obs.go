@@ -1,9 +1,11 @@
 // Package obs is the instrumentation layer of the yield pipeline: a
-// lightweight metrics registry (atomic counters, gauges, histograms
-// with fixed log-scale buckets, and a monotonic phase timer producing a
-// span tree) that the BDD → MDD → yield phases report into, plus
-// progress reporting for long sweeps and export as JSON or in the
-// Prometheus text format.
+// lightweight metrics registry (atomic counters, gauges and histograms
+// with fixed log-scale buckets) that the BDD → MDD → yield phases
+// report into, exported as JSON or in the Prometheus text format; a
+// bounded event ring (Tracer) that records each build phase and each
+// compiled gate once, exported as a Chrome trace; the live state of a
+// build in flight (BuildState); and progress lines for long
+// Monte-Carlo runs.
 //
 // # Overhead discipline
 //
@@ -186,23 +188,17 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Registry is a named collection of instruments plus the root of the
-// span tree. Instruments are created on first use and live for the
-// registry's lifetime; resolving one is a mutex-guarded map lookup, so
-// callers should resolve once per phase and reuse the pointer.
+// Registry is a named collection of instruments. Instruments are
+// created on first use and live for the registry's lifetime; resolving
+// one is a mutex-guarded map lookup, so callers should resolve once per
+// phase and reuse the pointer.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	floats   map[string]*FloatGauge
 	hists    map[string]*Histogram
-	spans    []*Span
 }
-
-// maxRootSpans bounds the retained root spans so that a registry shared
-// across an unbounded run loop cannot grow without limit; spans beyond
-// the cap still function but are not retained in snapshots.
-const maxRootSpans = 256
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -275,30 +271,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Span starts a new root span. Returns nil on a nil registry. Once
-// maxRootSpans roots are retained, further spans still time their
-// phase normally but are not kept for snapshots; every such drop is
-// counted on the "obs.spans_dropped" counter so a long-running
-// registry reports how much of its span history is missing instead of
-// losing it silently.
-func (r *Registry) Span(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	s := newSpan(name)
-	r.mu.Lock()
-	dropped := len(r.spans) >= maxRootSpans
-	if !dropped {
-		r.spans = append(r.spans, s)
-	}
-	r.mu.Unlock()
-	if dropped {
-		// Outside r.mu: Counter takes the same lock.
-		r.Counter("obs.spans_dropped").Inc()
-	}
-	return s
-}
-
 // HistogramSnapshot is the exported state of one histogram.
 type HistogramSnapshot struct {
 	Count int64   `json:"count"`
@@ -323,13 +295,11 @@ type Snapshot struct {
 	Gauges      map[string]int64             `json:"gauges,omitempty"`
 	FloatGauges map[string]float64           `json:"float_gauges,omitempty"`
 	Histograms  map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Spans       []SpanSnapshot               `json:"spans,omitempty"`
 }
 
 // Snapshot copies the current state of every instrument. Safe to call
-// concurrently with updates (values are read atomically; in-flight
-// spans report their elapsed time so far). A nil registry snapshots to
-// the zero value.
+// concurrently with updates (values are read atomically). A nil
+// registry snapshots to the zero value.
 func (r *Registry) Snapshot() Snapshot {
 	var snap Snapshot
 	if r == nil {
@@ -352,7 +322,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.hists {
 		hists[k] = v
 	}
-	spans := append([]*Span(nil), r.spans...)
 	r.mu.Unlock()
 
 	if len(counters) > 0 {
@@ -388,9 +357,6 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 			snap.Histograms[k] = hs
 		}
-	}
-	for _, s := range spans {
-		snap.Spans = append(snap.Spans, s.snapshot())
 	}
 	return snap
 }

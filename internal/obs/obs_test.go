@@ -60,17 +60,8 @@ func TestNilReceivers(t *testing.T) {
 	if r.Histogram("x").Count() != 0 || r.Histogram("x").Sum() != 0 {
 		t.Error("nil histogram counted")
 	}
-	sp := r.Span("x")
-	child := sp.Child("y")
-	child.End()
-	if d := sp.End(); d != 0 {
-		t.Errorf("nil span End = %v, want 0", d)
-	}
-	if sp.Duration() != 0 || sp.Name() != "" {
-		t.Error("nil span reported state")
-	}
 	snap := r.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Spans) != 0 {
+	if len(snap.Counters) != 0 {
 		t.Error("nil registry snapshot not empty")
 	}
 	var buf bytes.Buffer
@@ -182,9 +173,6 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.FloatGauge("ratio").Set(float64(i))
 				r.Histogram("lat").Observe(int64(i))
 				if i%128 == 0 {
-					sp := r.Span("work")
-					sp.Child("inner").End()
-					sp.End()
 					_ = r.Snapshot()
 				}
 			}
@@ -200,63 +188,12 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 }
 
-func TestSpanNesting(t *testing.T) {
-	r := NewRegistry()
-	root := r.Span("evaluate")
-	a := root.Child("compile")
-	time.Sleep(time.Millisecond)
-	if a.End() <= 0 {
-		t.Error("ended child has non-positive duration")
-	}
-	b := root.Child("convert")
-	bb := b.Child("layer")
-	bb.End()
-	b.End()
-	// Leave root running: snapshot must report it in flight with
-	// elapsed-so-far.
-	snap := r.Snapshot()
-	if len(snap.Spans) != 1 {
-		t.Fatalf("got %d root spans, want 1", len(snap.Spans))
-	}
-	rs := snap.Spans[0]
-	if rs.Name != "evaluate" || !rs.Running {
-		t.Errorf("root span = %+v, want running 'evaluate'", rs)
-	}
-	if len(rs.Children) != 2 {
-		t.Fatalf("got %d children, want 2", len(rs.Children))
-	}
-	if rs.Children[0].Name != "compile" || rs.Children[0].Running {
-		t.Errorf("child 0 = %+v, want ended 'compile'", rs.Children[0])
-	}
-	if rs.Children[1].Children[0].Name != "layer" {
-		t.Errorf("grandchild = %+v, want 'layer'", rs.Children[1].Children[0])
-	}
-	if rs.Seconds < rs.Children[0].Seconds {
-		t.Error("running root shorter than its finished child")
-	}
-	d := root.End()
-	if again := root.End(); again != d {
-		t.Errorf("second End returned %v, want first duration %v", again, d)
-	}
-}
-
-func TestRootSpanCap(t *testing.T) {
-	r := NewRegistry()
-	for i := 0; i < maxRootSpans+10; i++ {
-		r.Span("s").End()
-	}
-	if n := len(r.Snapshot().Spans); n != maxRootSpans {
-		t.Errorf("retained %d root spans, want cap %d", n, maxRootSpans)
-	}
-}
-
 func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("bdd.apply_cache_hits").Add(10)
 	r.Gauge("yield.m").Set(6)
 	r.FloatGauge("yield.value").Set(0.934)
 	r.Histogram("sweep.point_ns").Observe(1500)
-	r.Span("evaluate").End()
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
@@ -273,9 +210,6 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 	if snap.FloatGauges["yield.value"] != 0.934 {
 		t.Errorf("float gauge roundtrip = %v, want 0.934", snap.FloatGauges["yield.value"])
-	}
-	if len(snap.Spans) != 1 || snap.Spans[0].Name != "evaluate" {
-		t.Errorf("span roundtrip = %+v", snap.Spans)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Progress reports the advance of a long batch (a sweep, a simulation)
+// Progress reports the advance of a long batch (a Monte-Carlo run)
 // as periodic single-line status reports: items done, percentage,
 // throughput, and ETA. A background goroutine owns the printing; the
 // workers only call Add, which is one atomic addition, so progress

@@ -7,8 +7,9 @@ import (
 	"time"
 )
 
-// TraceEvent is one timed slice of the build, such as one compiled
-// gate. Events land on the build track of the Chrome trace export,
+// TraceEvent is one timed slice of a build: one build phase (category
+// "phase"), or one compiled gate. In the Chrome trace export phase
+// events land on the phases track and all others on the build track,
 // with Args as the slice's arguments.
 type TraceEvent struct {
 	Name  string         `json:"name"`
@@ -103,86 +104,58 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// tracePid is the synthetic process id all trace rows share; spans go
-// on the "phases" track and build events on the "build" track.
+// tracePid is the synthetic process id all trace rows share; "phase"
+// events go on the "phases" track and every other event on the
+// "build" track.
 const (
 	tracePid = 1
 	phaseTid = 0
 	buildTid = 1
 )
 
-// WriteChromeTrace assembles a flight recording — the span tree of a
-// registry snapshot and the tracer's build events — into one Chrome
+// WriteChromeTrace writes the events t retains as one Chrome
 // trace-event JSON document loadable in Perfetto
-// (https://ui.perfetto.dev) or chrome://tracing. Phase spans appear as
-// nested slices on the "phases" track and build events on one "build"
-// track. Either input may be empty.
-func WriteChromeTrace(w io.Writer, snap Snapshot, events []TraceEvent) error {
-	// The timeline is relative to the earliest timestamp anywhere in
-	// the recording, so ts values stay small and positive.
-	base := int64(0)
-	consider := func(ns int64) {
-		if ns > 0 && (base == 0 || ns < base) {
-			base = ns
-		}
-	}
-	var walk func(s SpanSnapshot)
-	walk = func(s SpanSnapshot) {
-		consider(s.StartUnixNano)
-		for _, c := range s.Children {
-			walk(c)
-		}
-	}
-	for _, s := range snap.Spans {
-		walk(s)
-	}
+// (https://ui.perfetto.dev) or chrome://tracing. Events of category
+// "phase" (each build phase, and each build as a whole) appear on the
+// "phases" track, every other event (the per-gate compile events) on
+// the "build" track. The process_name row carries t.Dropped() as its
+// "dropped_events" argument: a nonzero count means the ring has
+// overwritten the start of the run. A nil tracer writes the empty
+// tracks.
+func WriteChromeTrace(w io.Writer, t *Tracer) error {
+	events := t.Events()
+	// The timeline is relative to the earliest start in the recording,
+	// so ts values stay small and positive. A phase event is recorded
+	// when its phase ends, after the events of its gates.
+	var base time.Time
 	for _, e := range events {
-		consider(e.Start.UnixNano())
+		if base.IsZero() || e.Start.Before(base) {
+			base = e.Start
+		}
 	}
-	us := func(ns int64) float64 { return float64(ns-base) / 1e3 }
 
 	out := []chromeEvent{{
 		Name: "process_name", Ph: "M", Pid: tracePid,
-		Args: map[string]any{"name": "socyield"},
+		Args: map[string]any{"name": "socyield", "dropped_events": t.Dropped()},
 	}, {
 		Name: "thread_name", Ph: "M", Pid: tracePid, Tid: phaseTid,
 		Args: map[string]any{"name": "phases"},
+	}, {
+		Name: "thread_name", Ph: "M", Pid: tracePid, Tid: buildTid,
+		Args: map[string]any{"name": "build"},
 	}}
-	if len(events) > 0 {
-		out = append(out, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: tracePid, Tid: buildTid,
-			Args: map[string]any{"name": "build"},
-		})
-	}
-
-	var emit func(s SpanSnapshot)
-	emit = func(s SpanSnapshot) {
-		ev := chromeEvent{
-			Name: s.Name, Ph: "X", Cat: "phase",
-			Ts: us(s.StartUnixNano), Dur: s.Seconds * 1e6,
-			Pid: tracePid, Tid: phaseTid,
-		}
-		if s.Running {
-			ev.Args = map[string]any{"running": true}
-		}
-		out = append(out, ev)
-		for _, c := range s.Children {
-			emit(c)
-		}
-	}
-	for _, s := range snap.Spans {
-		emit(s)
-	}
-
 	for _, e := range events {
-		cat := e.Cat
-		if cat == "" {
+		cat, tid := e.Cat, buildTid
+		switch cat {
+		case "phase":
+			tid = phaseTid
+		case "":
 			cat = "work"
 		}
 		out = append(out, chromeEvent{
 			Name: e.Name, Ph: "X", Cat: cat,
-			Ts: us(e.Start.UnixNano()), Dur: float64(e.Dur) / 1e3,
-			Pid: tracePid, Tid: buildTid, Args: e.Args,
+			Ts: float64(e.Start.Sub(base)) / 1e3, Dur: float64(e.Dur) / 1e3,
+			Pid: tracePid, Tid: tid, Args: e.Args,
 		})
 	}
 
@@ -190,6 +163,5 @@ func WriteChromeTrace(w io.Writer, snap Snapshot, events []TraceEvent) error {
 		TraceEvents     []chromeEvent `json:"traceEvents"`
 		DisplayTimeUnit string        `json:"displayTimeUnit"`
 	}{TraceEvents: out, DisplayTimeUnit: "ms"}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return json.NewEncoder(w).Encode(doc)
 }

@@ -232,7 +232,7 @@ func (s *Server) compiled(ctx context.Context, sys *yield.System, opts yield.Opt
 	// The build publishes into the server registry and registers its
 	// BuildState with the tracker for the /v1/builds listing. The
 	// request id of the triggering request labels the build's log lines
-	// — later coalesced requests share the same build span.
+	// — later coalesced requests share the same build.
 	buildOpts.Recorder = s.cfg.Metrics
 	buildOpts.Tracer = s.cfg.Tracer
 	reqID := requestID(ctx)

@@ -229,8 +229,8 @@ func (s *Server) Handler() http.Handler {
 		start := time.Now()
 		// Honor a client-supplied id (so the caller can correlate its
 		// own logs) or mint a unique one; either way it comes back in
-		// the response header, flows through the context into build
-		// spans, and tags every log line for the request.
+		// the response header, flows through the context into the
+		// build's log lines, and tags every log line for the request.
 		id := r.Header.Get("X-Request-Id")
 		if id == "" || len(id) > 128 {
 			id = fmt.Sprintf("req-%d-%d", start.UnixNano(), s.reqSeq.Add(1))

@@ -25,18 +25,20 @@ type model struct {
 }
 
 // build runs the one-time build — preparation, G synthesis, variable
-// ordering, coded-ROBDD compilation and ROMDD conversion — one child
-// span of parent and one BuildState phase per step, filling the
-// Result's phase timings, engine statistics and structural sizes. The
-// convert phase ends by freezing the ROMDD into the immutable snapshot
-// every evaluation reads (the manager, with its construction tables,
-// becomes garbage), and the ROMDD's statistics are read off that
-// snapshot by one linear scan.
+// ordering, coded-ROBDD compilation and ROMDD conversion — one
+// BuildState phase per step, filling the Result's phase timings,
+// engine statistics and structural sizes. Each phase is timed once:
+// its duration goes to Result.Phases and, with Options.Tracer set, the
+// same start and duration to a "phase" trace event. The convert phase
+// ends by freezing the ROMDD into the immutable snapshot every
+// evaluation reads (the manager, with its construction tables, becomes
+// garbage), and the ROMDD's statistics are read off that snapshot by
+// one linear scan.
 //
 // Each phase's bookkeeping (the base Result, statistics snapshots,
 // diagram sizes, the conversion spec, releasing the build tables) runs
-// inside that phase's span and timing, so the phase spans account for
-// the whole build.
+// inside that phase's timing, so the phases account for the whole
+// build.
 //
 // Once the conversion's sizing walk knows what the ROMDD will take,
 // reclaim may collect the tables the compile released, so that the
@@ -46,48 +48,44 @@ type model struct {
 // An error before compilation returns the zero model. A compile or
 // convert error returns the model with res consistently filled up to
 // the failing phase; callers decide whether to publish it.
-func build(parent *obs.Span, sys *System, opts Options) (model, error) {
-	bs := opts.BuildState
+func build(sys *System, opts Options) (model, error) {
+	bs, tr := opts.BuildState, opts.Tracer
 	bs.StartPhase(obs.BuildPrepare, 0)
-	sp := parent.Child("prepare")
 	t0 := time.Now()
 	p, err := prepare(sys, opts)
 	prepDur := time.Since(t0)
-	sp.End()
+	tr.Event("prepare", phaseCat, t0, prepDur, nil)
 	if err != nil {
 		return model{}, err
 	}
 
-	sp = parent.Child("encode")
 	t0 = time.Now()
 	g, err := encode.BuildG(sys.FaultTree, p.m)
 	var res *Result
 	if err == nil {
 		res = p.baseResult(g)
-		res.Phases.Prepare = prepDur
-		res.Phases.Encode = time.Since(t0)
 	}
-	sp.End()
+	encDur := time.Since(t0)
+	tr.Event("encode", phaseCat, t0, encDur, nil)
 	if err != nil {
 		return model{}, err
 	}
+	res.Phases.Prepare, res.Phases.Encode = prepDur, encDur
 
-	sp = parent.Child("order")
 	t0 = time.Now()
 	plan, err := order.Assemble(g.Netlist, g.Groups, p.opts.MVOrder, p.opts.BitOrder)
 	res.Phases.Order = time.Since(t0)
-	sp.End()
+	tr.Event("order", phaseCat, t0, res.Phases.Order, nil)
 	if err != nil {
 		return model{}, err
 	}
 	md := model{p: p, plan: plan, res: res}
 
 	bs.StartPhase(obs.BuildCompile, 0)
-	sp = parent.Child("compile")
 	t0 = time.Now()
 	bm := bdd.New(g.Netlist.NumInputs(), bdd.WithNodeLimit(p.opts.NodeLimit))
 	broot, err := compile.Netlist(bm, g.Netlist, plan.BinaryLevels,
-		compile.WithBuildState(bs), compile.WithTracer(p.opts.Tracer))
+		compile.WithBuildState(bs), compile.WithTracer(tr))
 	res.Stats.BDD = bm.Stats()
 	res.Stats.CompilePeakLive = bm.ResetPeakLive()
 	res.ROBDDPeak = res.Stats.CompilePeakLive
@@ -102,17 +100,16 @@ func build(parent *obs.Span, sys *System, opts Options) (model, error) {
 		res.Stats.Heap.CompileEnd = readHeap()
 	}
 	res.Phases.Compile = time.Since(t0)
-	sp.End()
+	tr.Event("compile", phaseCat, t0, res.Phases.Compile, nil)
 	if err != nil {
 		return md, stageErr("compiling coded ROBDD", err)
 	}
 
 	bs.StartPhase(obs.BuildConvert, 0)
-	sp = parent.Child("convert")
 	t0 = time.Now()
 	defer func() {
 		res.Phases.Convert = time.Since(t0)
-		sp.End()
+		tr.Event("convert", phaseCat, t0, res.Phases.Convert, nil)
 	}()
 	groupOf, bitOf := groupMeta(g)
 	spec, err := convert.SpecFromPlanLevels(plan.BinaryLevels, groupOf, bitOf, plan.GroupSeq, g.Domains())
@@ -147,6 +144,11 @@ func build(parent *obs.Span, sys *System, opts Options) (model, error) {
 	}
 	return md, nil
 }
+
+// phaseCat is the trace category of the build phases and of each
+// build's root event; obs.WriteChromeTrace puts it on the "phases"
+// track.
+const phaseCat = "phase"
 
 // readHeap returns the bytes in Go heap objects, live or not yet
 // swept.

@@ -240,7 +240,7 @@ func TestCompactMatchesFlatLayout(t *testing.T) {
 			opts := tc.opts
 			opts.MVOrder = mv
 			name := fmt.Sprintf("%s under %v", tc.name, mv)
-			md, err := build(nil, tc.sys, opts)
+			md, err := build(tc.sys, opts)
 			if err != nil {
 				t.Fatalf("%s: build: %v", name, err)
 			}

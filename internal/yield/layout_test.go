@@ -26,7 +26,7 @@ var allBitKinds = []order.BitKind{order.BitML, order.BitLM, order.BitTopology, o
 // variable ordering.
 func checkConversionLayout(t *testing.T, name string, sys *System, opts Options) {
 	t.Helper()
-	md, err := build(nil, sys, opts)
+	md, err := build(sys, opts)
 	if err != nil {
 		t.Fatalf("%s: build: %v", name, err)
 	}

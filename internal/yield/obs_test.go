@@ -2,17 +2,18 @@ package yield
 
 import (
 	"testing"
+	"time"
 
 	"socyield/internal/defects"
 	"socyield/internal/obs"
 )
 
-// TestEvaluateRecorder drives one full evaluation with a recorder
-// attached and checks the instrumentation contract the CLI's
-// -metrics-json output depends on: nonzero apply-cache activity, the
-// truncation point M published as a gauge, engine stats mirrored in
-// Result.Stats, and a span tree whose phase children cover (nearly all
-// of) the root evaluation span.
+// TestEvaluateRecorder drives one full evaluation with a recorder and
+// a tracer attached and checks the instrumentation contract the CLI's
+// -metrics-json and -trace-out outputs depend on: nonzero apply-cache
+// activity, engine stats mirrored in Result.Stats, and one root
+// "evaluate" phase event whose six phase events carry exactly the
+// Result.Phases durations and cover (nearly all of) the root.
 func TestEvaluateRecorder(t *testing.T) {
 	sys := tmrSystem(0.2, 0.15, 0.15)
 	dist, err := defects.NewNegativeBinomial(2, 0.25)
@@ -20,7 +21,8 @@ func TestEvaluateRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewRegistry()
-	res, err := Evaluate(sys, Options{Defects: dist, Epsilon: 1e-4, Recorder: rec})
+	tr := obs.NewTracer(0)
+	res, err := Evaluate(sys, Options{Defects: dist, Epsilon: 1e-4, Recorder: rec, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,15 +42,6 @@ func TestEvaluateRecorder(t *testing.T) {
 	if n := snap.Counters["mdd.nodes_created"]; n <= 0 {
 		t.Errorf("mdd.nodes_created = %d, want > 0", n)
 	}
-	if m := snap.Gauges["yield.m"]; m != int64(res.M) {
-		t.Errorf("yield.m gauge = %d, want %d", m, res.M)
-	}
-	if y := snap.FloatGauges["yield.value"]; y != res.Yield {
-		t.Errorf("yield.value gauge = %v, want %v", y, res.Yield)
-	}
-	if b := snap.FloatGauges["yield.error_bound"]; b != res.ErrorBound {
-		t.Errorf("yield.error_bound gauge = %v, want %v", b, res.ErrorBound)
-	}
 
 	// Result.Stats must mirror what was published.
 	if res.Stats.BDD.ApplyCacheMisses != misses {
@@ -64,40 +57,44 @@ func TestEvaluateRecorder(t *testing.T) {
 		t.Errorf("ROBDDToROMDDRatio = %v, want > 0", res.Stats.ROBDDToROMDDRatio)
 	}
 
-	// Span tree: one ended root named "evaluate" whose phase children
-	// cover ≥ 95% of its duration.
-	if len(snap.Spans) != 1 {
-		t.Fatalf("got %d root spans, want 1", len(snap.Spans))
+	// One root phase event named "evaluate" and six phase events, each
+	// timed by the clock that filled Result.Phases.
+	want := map[string]time.Duration{
+		"prepare": res.Phases.Prepare, "encode": res.Phases.Encode, "order": res.Phases.Order,
+		"compile": res.Phases.Compile, "convert": res.Phases.Convert, "eval": res.Phases.Eval,
 	}
-	root := snap.Spans[0]
-	if root.Name != "evaluate" || root.Running {
-		t.Fatalf("root span = %+v, want ended 'evaluate'", root)
-	}
-	want := map[string]bool{
-		"prepare": false, "encode": false, "order": false,
-		"compile": false, "convert": false, "eval": false,
-	}
-	covered := 0.0
-	for _, c := range root.Children {
-		if _, ok := want[c.Name]; !ok {
-			t.Errorf("unexpected phase span %q", c.Name)
+	var roots []obs.TraceEvent
+	var covered time.Duration
+	for _, ev := range tr.Events() {
+		if ev.Cat != "phase" {
 			continue
 		}
-		want[c.Name] = true
-		covered += c.Seconds
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("phase span %q missing", name)
+		if ev.Name == "evaluate" {
+			roots = append(roots, ev)
+			continue
 		}
+		d, ok := want[ev.Name]
+		if !ok {
+			t.Errorf("unexpected phase event %q", ev.Name)
+			continue
+		}
+		if ev.Dur != d {
+			t.Errorf("phase event %q lasts %v, Result.Phases holds %v", ev.Name, ev.Dur, d)
+		}
+		delete(want, ev.Name)
+		covered += ev.Dur
 	}
-	if root.Seconds > 0 && covered < 0.95*root.Seconds {
-		t.Errorf("phase spans cover %.1f%% of the root span, want ≥ 95%%", 100*covered/root.Seconds)
+	for name := range want {
+		t.Errorf("phase event %q missing", name)
 	}
-
-	// Phases durations must be consistent with the span totals.
-	if res.Phases.Total() <= 0 {
-		t.Error("Phases.Total() not positive")
+	if len(roots) != 1 {
+		t.Fatalf("got %d root events, want 1", len(roots))
+	}
+	if root := roots[0]; covered < root.Dur*95/100 {
+		t.Errorf("phase events cover %.1f%% of the root event, want ≥ 95%%", 100*float64(covered)/float64(root.Dur))
+	}
+	if covered != res.Phases.Total() {
+		t.Errorf("phase events sum to %v, Phases.Total() = %v", covered, res.Phases.Total())
 	}
 }
 
@@ -186,5 +183,44 @@ func TestReevaluatorRecorder(t *testing.T) {
 		if out[i] != plain[i] {
 			t.Errorf("instrumented sweep point %d differs: %+v vs %+v", i, out[i], plain[i])
 		}
+	}
+}
+
+// TestConcurrentBuildsShareTracer runs builds on several goroutines
+// into one Tracer, as yieldd and the experiments driver do: every
+// build must record its root event and each of its six phases once.
+func TestConcurrentBuildsShareTracer(t *testing.T) {
+	const builds = 4
+	sys := tmrSystem(0.2, 0.15, 0.15)
+	dist, err := defects.NewNegativeBinomial(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer(0)
+	errs := make(chan error, builds)
+	for i := 0; i < builds; i++ {
+		go func() {
+			_, err := Evaluate(sys, Options{Defects: dist, Epsilon: 1e-4, Tracer: tr})
+			errs <- err
+		}()
+	}
+	for i := 0; i < builds; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	counts := map[string]int{}
+	for _, ev := range tr.Events() {
+		if ev.Cat == "phase" {
+			counts[ev.Name]++
+		}
+	}
+	for _, name := range []string{"evaluate", "prepare", "encode", "order", "compile", "convert", "eval"} {
+		if counts[name] != builds {
+			t.Errorf("%d %q phase events, want %d", counts[name], name, builds)
+		}
+	}
+	if tr.Dropped() != 0 {
+		t.Errorf("Dropped() = %d, want 0", tr.Dropped())
 	}
 }

@@ -57,45 +57,45 @@ func newReevaluator(sys *System, m int, frozen *mdd.Frozen, groupSeq []int, res 
 // NewReevaluator runs the construction phases of Evaluate (using
 // opts.Defects only to fix M) and retains the ROMDD. The one-time
 // build's per-phase wall times, structural statistics and engine
-// counters are retained in Result (and stream into Options.Recorder
-// when set).
+// counters are retained in Result (the engine counters also stream
+// into Options.Recorder when set).
 func NewReevaluator(sys *System, opts Options) (*Reevaluator, error) {
-	r, _, err := buildReevaluator("reevaluator-build", sys, opts)
-	return r, err
+	r, res, err := buildReevaluator("reevaluator-build", sys, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.publish(opts.Recorder)
+	return r, nil
 }
 
 // buildReevaluator is the one build-and-evaluate path of Evaluate and
-// NewReevaluator: it runs the one-time build under a root span named
-// span and fills the default model's yield from the frozen ROMDD by
-// evaluateFrozen, then publishes the Result. On failure it returns a
-// nil Reevaluator and, unpublished, the Result filled so far (nil
-// unless compile or convert failed) for the caller to decide.
-func buildReevaluator(span string, sys *System, opts Options) (*Reevaluator, *Result, error) {
-	rec := opts.Recorder
-	bs := opts.BuildState
-	rootSpan := rec.Span(span)
-	defer rootSpan.End()
+// NewReevaluator: it runs the one-time build and fills the default
+// model's yield from the frozen ROMDD by evaluateFrozen. With
+// Options.Tracer set, the eval phase and then the whole build, named
+// name, are recorded as "phase" events beside build's phases. On
+// failure it returns a nil Reevaluator and the Result filled so far
+// (nil unless compile or convert failed) for the caller to decide
+// whether to publish it.
+func buildReevaluator(name string, sys *System, opts Options) (*Reevaluator, *Result, error) {
+	bs, tr := opts.BuildState, opts.Tracer
 	defer bs.Finish()
+	start := time.Now()
+	defer func() { tr.Event(name, phaseCat, start, time.Since(start), nil) }()
 
-	md, err := build(rootSpan, sys, opts)
+	md, err := build(sys, opts)
 	if err != nil {
 		return nil, md.res, err
 	}
 	res := md.res
 
 	bs.StartPhase(obs.BuildEval, 0)
-	sp := rootSpan.Child("eval")
 	t0 := time.Now()
 	r, err := evaluateFrozen(sys, md.p, md.frozen, md.plan.GroupSeq, res)
 	res.Phases.Eval = time.Since(t0)
-	sp.End()
+	tr.Event("eval", phaseCat, t0, res.Phases.Eval, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Publishing is bookkeeping after the build, outside the root span.
-	rootSpan.End()
-	res.Stats.publish(rec)
-	publishResult(rec, res)
 	return r, res, nil
 }
 

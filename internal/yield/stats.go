@@ -123,20 +123,3 @@ func (s *EngineStats) publish(rec *obs.Registry) {
 		rec.Gauge("mdd.frozen_bytes").Set(int64(s.Heap.FrozenBytes))
 	}
 }
-
-// publishResult records the structural outcome of one evaluation as
-// gauges (last run wins on a shared registry). No-op when rec is nil.
-func publishResult(rec *obs.Registry, res *Result) {
-	if rec == nil || res == nil {
-		return
-	}
-	rec.Gauge("yield.m").Set(int64(res.M))
-	rec.Gauge("yield.g_gates").Set(int64(res.GGates))
-	rec.Gauge("yield.binary_vars").Set(int64(res.BinaryVars))
-	rec.Gauge("yield.coded_robdd_nodes").Set(int64(res.CodedROBDDSize))
-	rec.Gauge("yield.robdd_peak").SetMax(int64(res.ROBDDPeak))
-	rec.Gauge("yield.romdd_nodes").Set(int64(res.ROMDDSize))
-	rec.FloatGauge("yield.value").Set(res.Yield)
-	rec.FloatGauge("yield.error_bound").Set(res.ErrorBound)
-	rec.FloatGauge("yield.lambda_prime").Set(res.LambdaPrime)
-}

@@ -46,9 +46,6 @@ type SweepOptions struct {
 	// "sweep.utilization" gauge (busy time / workers × wall time).
 	// Leaving it nil keeps the per-point loop free of clock reads.
 	Recorder *obs.Registry
-	// Progress, when non-nil, is advanced by one per completed point
-	// (one atomic add; safe to share with other phases).
-	Progress *obs.Progress
 }
 
 // sweepVector is one distinct lethality vector of a sweep with its
@@ -139,7 +136,6 @@ func (r *Reevaluator) Sweep(points []SweepPoint, opts SweepOptions) []SweepResul
 		return nil
 	})
 	_ = par.For(len(points), workers, nil, func(i int, _ struct{}) error {
-		defer opts.Progress.Add(1)
 		if points[i].Dist == nil {
 			out[i] = SweepResult{Err: errNoDist}
 			errCnt.Inc()

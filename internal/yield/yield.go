@@ -149,11 +149,11 @@ type Options struct {
 	// NodeLimit bounds live ROBDD nodes (and ROMDD nodes); 0 means
 	// unlimited. Exceeding it aborts with ErrNodeLimit.
 	NodeLimit int
-	// Recorder, when non-nil, receives the run's metrics: a span tree
-	// of the pipeline phases, the decision-diagram engine counters
-	// (apply-cache hits/misses, unique-table growth, GC activity), and
-	// the structural gauges of the result. A nil Recorder disables all
-	// metric recording at near-zero cost — hot paths guard on it.
+	// Recorder, when non-nil, receives the run's metrics: the
+	// decision-diagram engine counters (apply-cache hits/misses,
+	// unique-table growth, GC activity) and the build's heap readings.
+	// The phase timings are in Result.Phases. A nil Recorder disables
+	// all metric recording at near-zero cost — hot paths guard on it.
 	Recorder *obs.Registry
 	// BuildState, when non-nil, receives live phase transitions and
 	// work-unit progress (gates compiled, conversion entry nodes) as
@@ -162,8 +162,9 @@ type Options struct {
 	// ModelKey: it does not affect results.
 	BuildState *obs.BuildState
 	// Tracer, when non-nil, records one timed event per compiled gate
-	// for the Chrome trace export. Excluded from ModelKey like
-	// Recorder and BuildState.
+	// and one "phase" event per build phase and per build, with the
+	// start and duration Result.Phases holds, for the Chrome trace
+	// export. Excluded from ModelKey like Recorder and BuildState.
 	Tracer *obs.Tracer
 }
 
@@ -341,18 +342,16 @@ func groupMeta(g *encode.GFunc) (groupOf []int, bitOf []uint) {
 // estimate with its error bound and the structural statistics of
 // Table 4. It is NewReevaluator's build and evaluation, so the two
 // return the same yield bits under every variable ordering. When
-// Options.Recorder is set, the phases additionally report as a span
-// tree and the engine counters flush into the registry.
+// Options.Recorder is set, the engine counters flush into the
+// registry; with Options.Tracer set, each phase and the whole build
+// ("evaluate") are recorded as "phase" trace events.
 //
 // A failed compile or convert still returns (and publishes) what it
 // built, together with the error.
 func Evaluate(sys *System, opts Options) (*Result, error) {
 	_, res, err := buildReevaluator("evaluate", sys, opts)
-	if err != nil && res != nil {
-		// Publishing is bookkeeping after the run, outside the root
-		// span.
+	if res != nil {
 		res.Stats.publish(opts.Recorder)
-		publishResult(opts.Recorder, res)
 	}
 	return res, err
 }

@@ -80,8 +80,7 @@ var ErrNodeLimit = yield.ErrNodeLimit
 // Evaluate runs the combinatorial yield method end to end.
 func Evaluate(sys *System, opts Options) (*Result, error) { return yield.Evaluate(sys, opts) }
 
-// Metrics is a registry of counters, gauges, histograms and phase
-// spans. Set Options.Recorder (or the sweep / Monte-Carlo equivalents)
+// Metrics is a registry of counters, gauges and histograms. Set Options.Recorder (or the sweep / Monte-Carlo equivalents)
 // to one instance to instrument a run; its Snapshot and WriteJSON
 // methods export everything collected. A nil *Metrics is valid
 // everywhere and records nothing.
@@ -99,24 +98,27 @@ type EngineStats = yield.EngineStats
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// Tracer collects per-gate compile events into a bounded ring for the
-// Chrome trace export. Set Options.Tracer to record a build; a nil *Tracer is valid
-// everywhere and records nothing.
+// Tracer collects a build's phase events and per-gate compile events
+// into a bounded ring for the Chrome trace export. Set Options.Tracer
+// to record a build; a nil *Tracer is valid everywhere and records
+// nothing.
 type Tracer = obs.Tracer
 
-// TraceEvent is one timed slice of a build, such as one compiled gate.
+// TraceEvent is one timed slice of a build: one phase or one compiled
+// gate.
 type TraceEvent = obs.TraceEvent
 
 // NewTracer returns a tracer with the given event-ring capacity (≤ 0
 // selects the default).
 func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
 
-// WriteChromeTrace assembles a flight recording — the phase-span tree
-// of a metrics snapshot and a tracer's build events on one build
-// track — into one Chrome trace-event JSON document loadable at
-// https://ui.perfetto.dev or chrome://tracing.
-func WriteChromeTrace(w io.Writer, snap MetricsSnapshot, events []TraceEvent) error {
-	return obs.WriteChromeTrace(w, snap, events)
+// WriteChromeTrace writes a tracer's events — each build's phases on
+// a "phases" track, its per-gate compile events on a "build" track —
+// as one Chrome trace-event JSON document loadable at
+// https://ui.perfetto.dev or chrome://tracing. The process_name row
+// carries the tracer's dropped-event count.
+func WriteChromeTrace(w io.Writer, t *Tracer) error {
+	return obs.WriteChromeTrace(w, t)
 }
 
 // BuildState tracks the live progress of one model build (phase,
@@ -219,13 +221,6 @@ type ModelStore = store.Store
 // dir. maxBytes 0 means unlimited; metrics may be nil.
 func OpenModelStore(dir string, maxBytes int64, metrics *Metrics) (*ModelStore, error) {
 	return store.Open(dir, maxBytes, metrics)
-}
-
-// LoadOrBuild returns a Reevaluator for (sys, opts), served from the
-// store when a current-revision entry exists and compiled (then
-// written through) otherwise. A nil store always compiles.
-func LoadOrBuild(st *ModelStore, sys *System, opts Options) (re *Reevaluator, fromStore bool, err error) {
-	return store.LoadOrBuild(st, sys, opts)
 }
 
 // SweepPoint is one (per-component lethalities, defect distribution)
